@@ -1,11 +1,14 @@
-(** Binary min-heap keyed by [(time, seq)], used as the simulator's event
+(** 4-ary min-heap keyed by [(time, seq)], used as the simulator's event
     queue. Ties on [time] break on insertion order ([seq]), giving the
-    engine FIFO semantics for simultaneous events.
+    engine FIFO semantics for simultaneous events. Callers keep keys
+    unique, so the pop order is fully determined by the keys and does not
+    depend on the heap's arity or internal layout.
 
     The heap is laid out as a structure of arrays: an unboxed [float array]
-    of times, an [int array] of seqs, and a value array. Keys never touch
-    the OCaml heap after insertion, and sifting moves at most one slot per
-    level (hole-based, not swap-based). *)
+    of times, an [int array] of seqs, and an [int array] of value slots
+    into a value array where each value stays put. Keys never touch the
+    OCaml heap after insertion, and sifting moves at most one position per
+    level (hole-based, not swap-based) with no pointer store. *)
 
 type 'a t
 
@@ -40,13 +43,13 @@ val peek_time : 'a t -> float option
     then restores the heap invariant (Floyd heapify, O(n)). Relative order
     of surviving elements is unchanged because their keys are unchanged.
     When survivors occupy less than a quarter of capacity (and capacity
-    exceeds the 64-slot floor) the SoA backing arrays are reallocated at 2x
-    the live size, releasing the high-water-mark footprint. *)
+    exceeds the 64-entry floor) the SoA backing arrays are reallocated at
+    2x the live size, releasing the high-water-mark footprint. *)
 val compact : 'a t -> keep:(seq:int -> 'a -> bool) -> unit
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool
 
-(** Current backing-array capacity in slots (all three SoA arrays share
+(** Current backing-array capacity in entries (all the SoA arrays share
     it). Exposed for memory accounting and tests. *)
 val capacity : 'a t -> int

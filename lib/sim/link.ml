@@ -39,37 +39,12 @@ type t = {
   mutable doomed_fly : int;  (* oldest in-flight packets to blackhole *)
   mutable blackholed : int;
   mutable bytes_txed : int;
-  dummy : Packet.t;  (* fills dead slots so the ring retains nothing *)
+  dummy : Packet.t;  (* [txing] when idle, so it retains nothing *)
   mutable txing : Packet.t;  (* the packet being serialized; dummy if none *)
-  mutable fly : Packet.t array;  (* in-flight ring, FIFO *)
-  mutable fly_head : int;
-  mutable fly_len : int;
+  fly : Pkt_ring.t;  (* packets propagating, oldest first *)
   mutable tx_done : unit -> unit;
   mutable prop_done : unit -> unit;
 }
-
-let fly_push t pkt =
-  let cap = Array.length t.fly in
-  if t.fly_len = cap then begin
-    let ncap = 2 * cap in
-    let nfly = Array.make ncap t.dummy in
-    for i = 0 to t.fly_len - 1 do
-      (* lint: allow pool-lifetime — ring growth moves live in-flight packets between the old and new backing arrays *)
-      nfly.(i) <- t.fly.((t.fly_head + i) mod cap)
-    done;
-    t.fly <- nfly;
-    t.fly_head <- 0
-  end;
-  (* lint: allow pool-lifetime — ownership transfers to the in-flight ring; freed on delivery or blackhole *)
-  t.fly.((t.fly_head + t.fly_len) mod Array.length t.fly) <- pkt;
-  t.fly_len <- t.fly_len + 1
-
-let fly_pop t =
-  let pkt = t.fly.(t.fly_head) in
-  t.fly.(t.fly_head) <- t.dummy;
-  t.fly_head <- (t.fly_head + 1) mod Array.length t.fly;
-  t.fly_len <- t.fly_len - 1;
-  pkt
 
 let blackhole t pkt =
   t.blackholed <- t.blackholed + 1;
@@ -120,16 +95,14 @@ let create engine ~qdisc ~rate_bps ~delay_s ?counters ~deliver () =
       bytes_txed = 0;
       dummy;
       txing = dummy;
-      fly = Array.make 8 dummy;
-      fly_head = 0;
-      fly_len = 0;
+      fly = Pkt_ring.create ();
       tx_done = ignore;
       prop_done = ignore;
     }
   in
   t.prop_done <-
     (fun () ->
-      let pkt = fly_pop t in
+      let pkt = Pkt_ring.pop t.fly in
       if t.doomed_fly > 0 then begin
         t.doomed_fly <- t.doomed_fly - 1;
         blackhole t pkt
@@ -170,7 +143,8 @@ let create engine ~qdisc ~rate_bps ~delay_s ?counters ~deliver () =
              (Trace.Tx { pkt; link = (l.Trace.from_node, l.Trace.to_node) }));
         (* Propagation: the head bit pipeline is folded into arrival time;
            the transmitter is free as soon as the last bit leaves. *)
-        fly_push t pkt;
+        (* lint: allow pool-lifetime — ownership transfers to the in-flight ring; freed on delivery or blackhole *)
+        Pkt_ring.push t.fly pkt;
         (* The fast branch is the exact pre-hybrid computation: with the
            standing term never set (and so [last_arrival] never touched)
            the scheduled delay is bit-identical to [delay_s]. The slow
@@ -202,7 +176,7 @@ let set_up t up =
       (* Everything on the wire is lost: the packet mid-serialization and
          every in-flight packet. Their already-scheduled events still fire
          (determinism: the event stream never mutates) but discard. *)
-      t.doomed_fly <- t.fly_len;
+      t.doomed_fly <- Pkt_ring.length t.fly;
       if t.busy then t.tx_doomed <- true
     end
   end

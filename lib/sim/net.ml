@@ -1,5 +1,18 @@
 type node_kind = Host | Switch
 
+(* Flow handlers are keyed by [(host, flow)] packed into one int, the host
+   in the low [node_bits] bits: one int hash per delivery, no tuple. *)
+let node_bits = 24
+
+module Handlers = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k lxor (k lsr node_bits)
+end)
+
+let handler_key ~host ~flow = (flow lsl node_bits) lor host
+
 type t = {
   engine : Engine.t;
   counters : Counters.t;
@@ -8,9 +21,11 @@ type t = {
   adjacency : (int, (int * Link.t) list ref) Hashtbl.t;
       (* node -> outgoing (neighbour, link) *)
   directed : (int * int, Link.t) Hashtbl.t;
-  handlers : (int * int, Packet.t -> unit) Hashtbl.t;
-  mutable next_hops : int array array array;
-      (* next_hops.(node).(dst) = equal-cost next hops, [||] if unreachable *)
+  handlers : (Packet.t -> unit) Handlers.t;
+  mutable next_links : Link.t array array array;
+      (* next_links.(node).(dst) = links to the equal-cost next hops, in
+         neighbour-id order; [||] if unreachable. Identical arrays are
+         shared within a node. *)
   mutable finalized : bool;
 }
 
@@ -24,8 +39,8 @@ let create engine counters =
     n = 0;
     adjacency = Hashtbl.create 64;
     directed = Hashtbl.create 64;
-    handlers = Hashtbl.create 256;
-    next_hops = [||];
+    handlers = Handlers.create 256;
+    next_links = [||];
     finalized = false;
   }
 
@@ -34,6 +49,7 @@ let counters t = t.counters
 
 let add_node t kind =
   if t.finalized then invalid_arg "Net: cannot add nodes after finalize";
+  if t.n = 1 lsl node_bits then invalid_arg "Net: too many nodes";
   if t.n = Array.length t.kinds then begin
     let narr = Array.make (2 * t.n) Host in
     Array.blit t.kinds 0 narr 0 t.n;
@@ -58,27 +74,33 @@ let flow_hash flow =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.to_int (Int64.logxor z (Int64.shift_right_logical z 31)) land max_int
 
-let pick_next_hop t ~flow node dst =
-  let hops = t.next_hops.(node).(dst) in
-  let n = Array.length hops in
-  if n = 0 then None
-  else if n = 1 then Some hops.(0)
-  else
-    (* Salt with the switch id: per-hop hashes must be independent or
-       multi-stage fabrics use only a correlated subset of their paths. *)
-    Some hops.(flow_hash ((flow * 0x3779) lxor (node * 0x9e41)) mod n)
+(* The far end of a link, as recorded on its queue when [connect] made it. *)
+let link_dst link = (Link.qdisc link).Queue_disc.loc.Trace.to_node
 
-(* Forward declaration cycle: delivery needs routing which needs links. We
-   route inside [deliver] by consulting the table built at [finalize]. *)
+(* [links] is a non-empty equal-cost set at [node]. Salt with the switch
+   id: per-hop hashes must be independent or multi-stage fabrics use only a
+   correlated subset of their paths. *)
+let pick links ~flow node =
+  let n = Array.length links in
+  if n = 1 then links.(0)
+  else links.(flow_hash ((flow * 0x3779) lxor (node * 0x9e41)) mod n)
+
+let stray t pkt node =
+  t.counters.Counters.stray_pkts <- t.counters.Counters.stray_pkts + 1;
+  if Trace.on () then Trace.emit (Trace.Stray { pkt; node })
+
+(* Delivery needs routing, which needs links, which deliver: the links'
+   [deliver] closures call back into [deliver], which routes through the
+   table built at [finalize]. *)
 let rec deliver t pkt node =
   if node = pkt.Packet.dst then begin
     t.counters.Counters.delivered_pkts <- t.counters.Counters.delivered_pkts + 1;
     if Trace.on () then Trace.emit (Trace.Rx { pkt; node });
-    (match Hashtbl.find_opt t.handlers (node, pkt.Packet.flow) with
-    | Some f -> f pkt
-    | None ->
-        t.counters.Counters.stray_pkts <- t.counters.Counters.stray_pkts + 1;
-        if Trace.on () then Trace.emit (Trace.Stray { pkt; node }));
+    (match
+       Handlers.find t.handlers (handler_key ~host:node ~flow:pkt.Packet.flow)
+     with
+    | f -> f pkt
+    | exception Not_found -> stray t pkt node);
     (* The packet is done: handlers read it synchronously and never retain
        it (see Packet.free). Recycling is off under tracing because sinks
        may keep references past delivery. *)
@@ -87,15 +109,12 @@ let rec deliver t pkt node =
   else forward t pkt node
 
 and forward t pkt node =
-  match pick_next_hop t ~flow:pkt.Packet.flow node pkt.Packet.dst with
-  | None ->
-      t.counters.Counters.stray_pkts <- t.counters.Counters.stray_pkts + 1;
-      if Trace.on () then Trace.emit (Trace.Stray { pkt; node })
-      else Packet.free pkt
-  | Some nh -> (
-      match Hashtbl.find_opt t.directed (node, nh) with
-      | Some link -> Link.send link pkt
-      | None -> assert false)
+  let links = t.next_links.(node).(pkt.Packet.dst) in
+  if Array.length links = 0 then begin
+    stray t pkt node;
+    if not (Trace.on ()) then Packet.free pkt
+  end
+  else Link.send (pick links ~flow:pkt.Packet.flow node) pkt
 
 let connect t a b ~rate_bps ~delay_s ~qdisc =
   if t.finalized then invalid_arg "Net: cannot connect after finalize";
@@ -119,35 +138,70 @@ let finalize t =
   if t.finalized then invalid_arg "Net.finalize: already finalized";
   t.finalized <- true;
   let n = t.n in
-  t.next_hops <- Array.init n (fun _ -> Array.make n [||]);
-  (* BFS from each destination over the (symmetric) adjacency; record, for
-     every node, ALL neighbours on shortest paths toward dst (equal-cost
-     multipath). Neighbour lists are sorted for determinism. *)
-  let neighbours =
+  (* Neighbours sorted by id (for determinism), with the link to each. *)
+  let nbrs =
     Array.init n (fun i ->
         let adj = !(Hashtbl.find t.adjacency i) in
-        List.sort Int.compare (List.map fst adj))
+        Array.of_list (List.sort Int.compare (List.map fst adj)))
   in
+  let nbr_links =
+    Array.mapi (fun v -> Array.map (fun u -> Hashtbl.find t.directed (v, u))) nbrs
+  in
+  (* Equal-cost sets are subsets of a node's neighbours, so a bitmask over
+     the sorted neighbour array names one; each distinct set is built once
+     per node and shared by every destination that uses it. Nodes with more
+     neighbours than an int has bits get a fresh array per destination. *)
+  let shared = Array.init n (fun _ -> Hashtbl.create 8) in
+  let next_set v dist =
+    let ns = nbrs.(v) in
+    let on_path j = dist.(ns.(j)) = dist.(v) - 1 in
+    let build () =
+      let links = ref [] in
+      for j = Array.length ns - 1 downto 0 do
+        if on_path j then links := nbr_links.(v).(j) :: !links
+      done;
+      Array.of_list !links
+    in
+    if Array.length ns >= Sys.int_size then build ()
+    else begin
+      let mask = ref 0 in
+      for j = 0 to Array.length ns - 1 do
+        if on_path j then mask := !mask lor (1 lsl j)
+      done;
+      match Hashtbl.find_opt shared.(v) !mask with
+      | Some links -> links
+      | None ->
+          let links = build () in
+          Hashtbl.replace shared.(v) !mask links;
+          links
+    end
+  in
+  t.next_links <- Array.init n (fun _ -> Array.make n [||]);
+  (* BFS from each destination over the (symmetric) adjacency; every node
+     keeps ALL neighbours on shortest paths toward dst (equal-cost
+     multipath). *)
+  let dist = Array.make n max_int in
+  let queue = Array.make n 0 in
   for dst = 0 to n - 1 do
-    let dist = Array.make n max_int in
+    Array.fill dist 0 n max_int;
     dist.(dst) <- 0;
-    let q = Queue.create () in
-    Queue.push dst q;
-    while not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      List.iter
+    queue.(0) <- dst;
+    let head = ref 0 and tail = ref 1 in
+    while !head < !tail do
+      let u = queue.(!head) in
+      incr head;
+      Array.iter
         (fun v ->
           if dist.(v) = max_int then begin
             dist.(v) <- dist.(u) + 1;
-            Queue.push v q
+            queue.(!tail) <- v;
+            incr tail
           end)
-        neighbours.(u)
+        nbrs.(u)
     done;
     for v = 0 to n - 1 do
       if v <> dst && dist.(v) < max_int then
-        t.next_hops.(v).(dst) <-
-          Array.of_list
-            (List.filter (fun u -> dist.(u) = dist.(v) - 1) neighbours.(v))
+        t.next_links.(v).(dst) <- next_set v dist
     done
   done
 
@@ -155,16 +209,19 @@ let send t pkt =
   let src = pkt.Packet.src in
   if src = pkt.Packet.dst then deliver t pkt src else forward t pkt src
 
-let register_flow t ~host ~flow f = Hashtbl.replace t.handlers (host, flow) f
-let unregister_flow t ~host ~flow = Hashtbl.remove t.handlers (host, flow)
+let register_flow t ~host ~flow f =
+  Handlers.replace t.handlers (handler_key ~host ~flow) f
+
+let unregister_flow t ~host ~flow =
+  Handlers.remove t.handlers (handler_key ~host ~flow)
 
 let route t ?(flow = 0) ~src ~dst () =
   let rec go node acc =
     if node = dst then List.rev (node :: acc)
     else
-      match pick_next_hop t ~flow node dst with
-      | None -> invalid_arg "Net.route: no path"
-      | Some nh -> go nh (node :: acc)
+      let links = t.next_links.(node).(dst) in
+      if Array.length links = 0 then invalid_arg "Net.route: no path"
+      else go (link_dst (pick links ~flow node)) (node :: acc)
   in
   go src []
 
@@ -180,9 +237,9 @@ let path_count t ~src ~dst =
       | None ->
           let c =
             Array.fold_left
-              (fun acc nh -> acc + count nh)
+              (fun acc l -> acc + count (link_dst l))
               0
-              t.next_hops.(node).(dst)
+              t.next_links.(node).(dst)
           in
           Hashtbl.replace memo node c;
           c

@@ -25,9 +25,11 @@ val connect :
   t -> int -> int -> rate_bps:float -> delay_s:float ->
   qdisc:(unit -> Queue_disc.t) -> unit
 
-(** Compute routing tables (BFS shortest paths, keeping {e all} equal-cost
-    next hops; flows are spread across them by a per-flow hash — ECMP).
-    Must be called once, after all [connect]s. *)
+(** Compute the forwarding table: by BFS, for every node and destination,
+    the links to {e all} equal-cost next hops, which a per-flow hash picks
+    among (ECMP). {!send}, {!route} and {!path_count} all read this one
+    table. Must be called once, after all [connect]s and before any
+    [send]; handlers may be registered before or after. *)
 val finalize : t -> unit
 
 (** [send t pkt] injects [pkt] at its source host. *)

@@ -1,6 +1,6 @@
 let create_with_inspect counters ~bands ~limit_pkts ~mark_threshold =
   if bands <= 0 then invalid_arg "Prio_queue.create: bands must be positive";
-  let qs : Packet.t Queue.t array = Array.init bands (fun _ -> Queue.create ()) in
+  let qs = Array.init bands (fun _ -> Pkt_ring.create ()) in
   let band_bytes = Array.make bands 0 in
   let total = ref 0 in
   let bytes = ref 0 in
@@ -15,25 +15,15 @@ let create_with_inspect counters ~bands ~limit_pkts ~mark_threshold =
   let push_out_below band =
     let rec scan i =
       if i <= band then false
-      else if not (Queue.is_empty qs.(i)) then begin
-        (* Drop from the tail-most position we can reach cheaply: the band is
-           FIFO, so dropping its most recent arrival preserves in-order
-           delivery of older packets. Queue has no tail removal; rotate. *)
-        let n = Queue.length qs.(i) in
-        let victim = ref None in
-        for j = 0 to n - 1 do
-          let p = Queue.pop qs.(i) in
-          (* lint: allow pool-lifetime — rotation returns still-owned packets to the same band queue *)
-          if j = n - 1 then victim := Some p else Queue.push p qs.(i)
-        done;
-        (match !victim with
-        | Some p ->
-            total := !total - 1;
-            bytes := !bytes - p.Packet.size;
-            band_bytes.(i) <- band_bytes.(i) - p.Packet.size;
-            incr drops;
-            Queue_disc.count_drop loc counters ~qpkts:!total p
-        | None -> assert false);
+      else if Pkt_ring.length qs.(i) > 0 then begin
+        (* Drop the band's most recent arrival: the band is FIFO, so this
+           preserves in-order delivery of its older packets. *)
+        let p = Pkt_ring.pop_tail qs.(i) in
+        total := !total - 1;
+        bytes := !bytes - p.Packet.size;
+        band_bytes.(i) <- band_bytes.(i) - p.Packet.size;
+        incr drops;
+        Queue_disc.count_drop loc counters ~qpkts:!total p;
         true
       end
       else scan (i - 1)
@@ -55,10 +45,10 @@ let create_with_inspect counters ~bands ~limit_pkts ~mark_threshold =
       Queue_disc.count_drop loc counters ~qpkts:!total pkt
     end
     else begin
-      if pkt.Packet.ecn_capable && Queue.length qs.(band) >= !eff_mark
+      if pkt.Packet.ecn_capable && Pkt_ring.length qs.(band) >= !eff_mark
       then Queue_disc.count_mark loc counters ~qpkts:!total pkt;
       (* lint: allow pool-lifetime — ownership transfers to the band queue; freed on drop or delivery *)
-      Queue.push pkt qs.(band);
+      Pkt_ring.push qs.(band) pkt;
       total := !total + 1;
       bytes := !bytes + pkt.Packet.size;
       band_bytes.(band) <- band_bytes.(band) + pkt.Packet.size;
@@ -68,20 +58,20 @@ let create_with_inspect counters ~bands ~limit_pkts ~mark_threshold =
   let dequeue () =
     let rec scan i =
       if i >= bands then None
-      else
-        match Queue.take_opt qs.(i) with
-        | Some pkt ->
-            total := !total - 1;
-            bytes := !bytes - pkt.Packet.size;
-            band_bytes.(i) <- band_bytes.(i) - pkt.Packet.size;
-            Queue_disc.count_dequeue loc counters ~qpkts:!total pkt;
-            Some pkt
-        | None -> scan (i + 1)
+      else if Pkt_ring.length qs.(i) > 0 then begin
+        let pkt = Pkt_ring.pop qs.(i) in
+        total := !total - 1;
+        bytes := !bytes - pkt.Packet.size;
+        band_bytes.(i) <- band_bytes.(i) - pkt.Packet.size;
+        Queue_disc.count_dequeue loc counters ~qpkts:!total pkt;
+        Some pkt
+      end
+      else scan (i + 1)
     in
     scan 0
   in
   let band_occ () =
-    Array.init bands (fun i -> (Queue.length qs.(i), band_bytes.(i)))
+    Array.init bands (fun i -> (Pkt_ring.length qs.(i), band_bytes.(i)))
   in
   let disc =
     {
@@ -95,7 +85,7 @@ let create_with_inspect counters ~bands ~limit_pkts ~mark_threshold =
       loc;
     }
   in
-  (disc, fun i -> Queue.length qs.(i))
+  (disc, fun i -> Pkt_ring.length qs.(i))
 
 let create counters ~bands ~limit_pkts ~mark_threshold =
   fst (create_with_inspect counters ~bands ~limit_pkts ~mark_threshold)

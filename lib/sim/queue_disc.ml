@@ -55,7 +55,7 @@ let count_mark (loc : Trace.loc) (c : Counters.t) ~qpkts (pkt : Packet.t) =
 let no_bands () = [||]
 
 let fifo counters ~limit_pkts ~mark_threshold =
-  let q : Packet.t Queue.t = Queue.create () in
+  let q = Pkt_ring.create () in
   let bytes = ref 0 in
   let drops = ref 0 in
   let loc = Trace.unattached_loc () in
@@ -66,33 +66,35 @@ let fifo counters ~limit_pkts ~mark_threshold =
     | None -> ()
   in
   let enqueue pkt =
-    if Queue.length q >= limit_pkts then begin
+    let n = Pkt_ring.length q in
+    if n >= limit_pkts then begin
       incr drops;
-      count_drop loc counters ~qpkts:(Queue.length q) pkt
+      count_drop loc counters ~qpkts:n pkt
     end
     else begin
       (match !eff_mark with
-      | Some k when pkt.Packet.ecn_capable && Queue.length q >= k ->
-          count_mark loc counters ~qpkts:(Queue.length q) pkt
+      | Some k when pkt.Packet.ecn_capable && n >= k ->
+          count_mark loc counters ~qpkts:n pkt
       | _ -> ());
       (* lint: allow pool-lifetime — ownership transfers to the FIFO; freed on drop or delivery *)
-      Queue.push pkt q;
+      Pkt_ring.push q pkt;
       bytes := !bytes + pkt.Packet.size;
-      count_enqueue loc counters ~qpkts:(Queue.length q) pkt
+      count_enqueue loc counters ~qpkts:(n + 1) pkt
     end
   in
   let dequeue () =
-    match Queue.take_opt q with
-    | None -> None
-    | Some pkt ->
-        bytes := !bytes - pkt.Packet.size;
-        count_dequeue loc counters ~qpkts:(Queue.length q) pkt;
-        Some pkt
+    if Pkt_ring.length q = 0 then None
+    else begin
+      let pkt = Pkt_ring.pop q in
+      bytes := !bytes - pkt.Packet.size;
+      count_dequeue loc counters ~qpkts:(Pkt_ring.length q) pkt;
+      Some pkt
+    end
   in
   {
     enqueue;
     dequeue;
-    pkts = (fun () -> Queue.length q);
+    pkts = (fun () -> Pkt_ring.length q);
     bytes = (fun () -> !bytes);
     bands = no_bands;
     drops = (fun () -> !drops);

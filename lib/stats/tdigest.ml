@@ -107,6 +107,18 @@ let flush t =
         done)
   end
 
+(* Queries never mutate: with values still buffered they read a flushed
+   shallow copy (flush replaces [means]/[weights] and only reads [buf]), so
+   a digest's representation, and so its Marshal bytes, depends only on
+   the values added and never on which queries ran before. *)
+let flushed t =
+  if t.buf_n = 0 then t
+  else begin
+    let c = { t with buf_n = t.buf_n } in
+    flush c;
+    c
+  end
+
 let add t x =
   if Float.is_nan x then invalid_arg "Tdigest.add: nan sample";
   if t.buf_n = Array.length t.buf then flush t;
@@ -116,12 +128,12 @@ let add t x =
   if x > t.hi then t.hi <- x
 
 let centroids t =
-  flush t;
+  let t = flushed t in
   List.init t.n (fun i -> (t.means.(i), t.weights.(i)))
 
 let quantile t q =
   if q < 0. || q > 1. then invalid_arg "Tdigest.quantile: q out of range";
-  flush t;
+  let t = flushed t in
   if t.n = 0 then nan
   else if t.n = 1 then t.means.(0)
   else begin
@@ -165,8 +177,7 @@ let rank_error t q =
 
 let merge a b =
   if a.delta <> b.delta then invalid_arg "Tdigest.merge: delta mismatch";
-  flush a;
-  flush b;
+  let a = flushed a and b = flushed b in
   let t = create ~delta:a.delta () in
   if a.n + b.n > 0 then begin
     t.lo <- Float.min a.lo b.lo;

@@ -19,7 +19,9 @@
     {b Determinism.} All state transitions are pure float arithmetic over
     arrays ordered by [Float.compare]; the same insertion sequence yields
     bit-identical digests, and {!merge} is deterministic in operand order.
-    There is no randomness anywhere in the structure. *)
+    Only {!add} changes a digest: queries leave it as it was, so its
+    Marshal bytes depend only on the values added. There is no randomness
+    anywhere in the structure. *)
 
 type t
 
@@ -53,10 +55,10 @@ val max : t -> float
 
 (** [merge a b] is a fresh digest summarising both inputs' streams.
     Requires equal [delta] ([Invalid_argument] otherwise). Deterministic in
-    operand order; the operands are canonicalised (buffered values
-    compressed) but semantically unchanged. *)
+    operand order; the operands are not modified. *)
 val merge : t -> t -> t
 
 (** Current centroids as [(mean, weight)] in nondecreasing mean order,
-    after compressing any buffered values. For tests and diagnostics. *)
+    as if any buffered values were compressed (the digest itself is not
+    modified). For tests and diagnostics. *)
 val centroids : t -> (float * float) list

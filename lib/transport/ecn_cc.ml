@@ -14,7 +14,7 @@ let create_state () =
 let alpha st = st.alpha
 
 let observe st t ~ecn ~weight =
-  let w = max 1 weight in
+  let w = Int.max 1 weight in
   st.acked_in_window <- st.acked_in_window + w;
   if ecn then st.marked_in_window <- st.marked_in_window + w;
   (* One window of data acked: fold the observed fraction into alpha. *)

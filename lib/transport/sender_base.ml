@@ -16,13 +16,19 @@ type t = {
   conf : conf;
   mutable hooks : hooks;
   status : Seg_store.t;
-  inflight_times : (int, float * bool) Hashtbl.t;  (* seq -> sent_at, retx *)
+  mutable sent_at : float array;
+  mutable sent_retx : Bytes.t;
+      (* Send time and retransmission flag of segment [seq] at slot
+         [seq land (capacity - 1)] (capacity a power of two). A slot is
+         valid exactly while its segment is [Inflight]; every such segment
+         lies in [cum_ack, next_new), which the capacity covers. *)
   mutable cwnd : float;
   mutable ssthresh : float;
   mutable next_new : int;  (* next never-transmitted segment *)
   mutable cum_ack : int;  (* first unacked segment *)
   mutable acked_count : int;
   mutable inflight : int;
+  mutable lost : int;  (* segments in [Lost] status, awaiting retransmission *)
   mutable srtt : float;
   mutable rttvar : float;
   mutable backoff : int;
@@ -77,14 +83,14 @@ let ssthresh t = t.ssthresh
 let set_ssthresh t v = t.ssthresh <- Float.max 2. v
 let srtt t = t.srtt
 let acked_pkts t = t.acked_count
-let remaining_pkts t = max 0 (t.flow.Flow.size_pkts - t.acked_count)
+let remaining_pkts t = Int.max 0 (t.flow.Flow.size_pkts - t.acked_count)
 let sent_new_pkts t = t.next_new
 let cum_ack t = t.cum_ack
 let inflight t = t.inflight
 let completed t = t.completed
 let consecutive_timeouts t = t.consecutive_timeouts
 
-let window t = max 1 (int_of_float t.cwnd)
+let window t = Int.max 1 (int_of_float t.cwnd)
 
 let rto_value t =
   let base = Float.max (t.hooks.base_rto t) (t.srtt +. (4. *. t.rttvar)) in
@@ -105,6 +111,32 @@ let delay_gated t =
   match t.hooks.pacing_rate t with
   | Some _ -> true
   | None -> false
+
+(* Grow the send-time ring until it covers [cum_ack, next_new), moving
+   the slots of that window to their new positions. *)
+let cover_window t =
+  let cap = Array.length t.sent_at in
+  let span = t.next_new - t.cum_ack in
+  if span > cap then begin
+    let ncap = ref (2 * cap) in
+    while !ncap < span do
+      ncap := 2 * !ncap
+    done;
+    let times = Array.make !ncap 0. in
+    let retx = Bytes.make !ncap '\000' in
+    for s = t.cum_ack to t.next_new - 1 do
+      times.(s land (!ncap - 1)) <- t.sent_at.(s land (cap - 1));
+      Bytes.set retx (s land (!ncap - 1)) (Bytes.get t.sent_retx (s land (cap - 1)))
+    done;
+    t.sent_at <- times;
+    t.sent_retx <- retx
+  end
+
+let record_send t seq ~retx =
+  cover_window t;
+  let i = seq land (Array.length t.sent_at - 1) in
+  t.sent_at.(i) <- Engine.now t.engine;
+  Bytes.set t.sent_retx i (if retx then '\001' else '\000')
 
 (* Forward declarations resolved through mutual recursion. The RTO rides a
    single reschedulable engine timer for the life of the flow: every ack
@@ -138,7 +170,7 @@ and handle_timeout t =
     (match t.hooks.on_timeout t with
     | `Handled -> ()
     | `Default -> default_timeout_action t);
-    t.backoff <- min 8 (t.backoff + 1);
+    t.backoff <- Int.min 8 (t.backoff + 1);
     arm_timer t;
     if Delay.on () && not t.completed then
       Delay.sync ~flow:t.flow.Flow.id ~inflight:t.inflight
@@ -150,35 +182,38 @@ and default_timeout_action t =
   for s = t.cum_ack to t.next_new - 1 do
     if Seg_store.get t.status s = Seg_store.Inflight then begin
       Seg_store.set t.status s Seg_store.Lost;
-      t.inflight <- t.inflight - 1
+      t.inflight <- t.inflight - 1;
+      t.lost <- t.lost + 1
     end
   done;
-  Hashtbl.reset t.inflight_times;
   t.in_recovery <- false;
   set_ssthresh t (t.cwnd /. 2.);
   set_cwnd t 1.;
   try_send t
 
 and next_to_send t =
-  (* Lost segments (retransmissions) take precedence over new data. *)
+  (* Lost segments (retransmissions) take precedence over new data. Every
+     [Lost] segment lies in [cum_ack, next_new); skip the scan when there
+     is none. *)
   let rec scan s =
     if s >= t.next_new then None
     else if Seg_store.get t.status s = Seg_store.Lost then Some (s, true)
     else scan (s + 1)
   in
-  match scan t.cum_ack with
+  match if t.lost = 0 then None else scan t.cum_ack with
   | Some _ as r -> r
   | None ->
       if t.next_new < t.flow.Flow.size_pkts then Some (t.next_new, false)
       else None
 
 and send_segment t seq ~retx =
-  if not retx then t.next_new <- max t.next_new (seq + 1);
+  if not retx then t.next_new <- Int.max t.next_new (seq + 1);
+  if Seg_store.get t.status seq = Seg_store.Lost then t.lost <- t.lost - 1;
   Seg_store.set t.status seq Seg_store.Inflight;
   t.inflight <- t.inflight + 1;
   if Delay.on () then
     Delay.on_send ~flow:t.flow.Flow.id ~now:(Engine.now t.engine);
-  Hashtbl.replace t.inflight_times seq (Engine.now t.engine, retx);
+  record_send t seq ~retx;
   let pkt =
     Packet.make ~flow:t.flow.Flow.id ~src:t.flow.Flow.src ~dst:t.flow.Flow.dst
       ~kind:Packet.Data
@@ -283,15 +318,18 @@ let mark_acked t seq newly =
   match Seg_store.get t.status seq with
   | Seg_store.Acked -> ()
   | prev ->
-      if prev = Seg_store.Inflight then t.inflight <- t.inflight - 1;
+      if prev = Seg_store.Lost then t.lost <- t.lost - 1;
+      if prev = Seg_store.Inflight then begin
+        t.inflight <- t.inflight - 1;
+        (* Karn's rule: a retransmitted segment's ACK is ambiguous, so it
+           gives no RTT sample. *)
+        let i = seq land (Array.length t.sent_at - 1) in
+        if Bytes.get t.sent_retx i = '\000' then
+          update_rtt t (Engine.now t.engine -. t.sent_at.(i))
+      end;
       Seg_store.set t.status seq Seg_store.Acked;
       t.acked_count <- t.acked_count + 1;
       incr newly;
-      (match Hashtbl.find_opt t.inflight_times seq with
-      | Some (sent_at, retx) ->
-          if not retx then update_rtt t (Engine.now t.engine -. sent_at);
-          Hashtbl.remove t.inflight_times seq
-      | None -> ());
       (* A segment the receiver has cannot be "new" anymore. *)
       if seq >= t.next_new then t.next_new <- seq + 1
 
@@ -299,7 +337,7 @@ let mark_lost t seq =
   if Seg_store.get t.status seq = Seg_store.Inflight then begin
     Seg_store.set t.status seq Seg_store.Lost;
     t.inflight <- t.inflight - 1;
-    Hashtbl.remove t.inflight_times seq
+    t.lost <- t.lost + 1
   end
 
 let handle_ack_like t (pkt : Packet.t) =
@@ -388,13 +426,15 @@ let create net ~flow ~conf ?(hooks = default_hooks) ~on_complete () =
     conf;
     hooks;
     status = Seg_store.create ();
-    inflight_times = Hashtbl.create 64;
+    sent_at = Array.make 16 0.;
+    sent_retx = Bytes.make 16 '\000';
     cwnd = Float.min conf.max_cwnd (Float.max 1. conf.init_cwnd);
     ssthresh = conf.init_ssthresh;
     next_new = 0;
     cum_ack = 0;
     acked_count = 0;
     inflight = 0;
+    lost = 0;
     srtt = conf.init_rtt;
     rttvar = conf.init_rtt /. 2.;
     backoff = 0;

@@ -212,10 +212,57 @@ let prop_fifo_on_equal_keys =
       in
       drain [] = List.init n Fun.id)
 
-(* Model-based property: drive a random interleaving of add / pop / compact
-   against a naive sorted association list keyed by (time, seq). The heap
-   must pop exactly what the model pops, at every step. Times are drawn
-   from a tiny set to force FIFO tie-breaks constantly. *)
+(* Model-based check: drive an interleaving of add / pop / compact against a
+   naive sorted association list keyed by (time, seq). The heap must pop
+   exactly what the model pops, at every step. Times are drawn from a tiny
+   set to force FIFO tie-breaks constantly. *)
+let matches_model ops =
+  let h = Eheap.create ~dummy:(-1) () in
+  let model = ref [] (* sorted [(time, seq, value)] *) in
+  let seq = ref 0 in
+  let insert (t, s, v) l =
+    let rec go = function
+      | [] -> [ (t, s, v) ]
+      | ((t', s', _) as hd) :: tl ->
+          if t < t' || (t = t' && s < s') then (t, s, v) :: hd :: tl
+          else hd :: go tl
+    in
+    go l
+  in
+  let compact keep =
+    Eheap.compact h ~keep;
+    model := List.filter (fun (_, s, v) -> keep ~seq:s v) !model;
+    Eheap.size h = List.length !model
+  in
+  List.for_all
+    (fun o ->
+      match o with
+      | `Add time ->
+          let s = !seq in
+          incr seq;
+          Eheap.add h ~time ~seq:s s;
+          model := insert (time, s, s) !model;
+          true
+      | `Pop -> (
+          match (Eheap.pop h, !model) with
+          | None, [] -> true
+          | Some (t, v), (t', s', v') :: tl ->
+              model := tl;
+              t = t' && v = v' && Eheap.size h = List.length tl && s' = v'
+          | Some _, [] | None, _ :: _ -> false)
+      | `Compact k ->
+          (* Keep a pseudo-random but deterministic subset. *)
+          compact (fun ~seq _ -> (seq * 7) mod 4 <> k)
+      | `Keep_below m -> compact (fun ~seq _ -> seq < m))
+    ops
+  &&
+  let rec drain acc =
+    match Eheap.pop h with
+    | Some (t, v) -> drain ((t, v) :: acc)
+    | None -> List.rev acc
+  in
+  drain [] = List.map (fun (t, _, v) -> (t, v)) !model
+
 let prop_model_interleaved =
   let op =
     QCheck.(
@@ -224,55 +271,34 @@ let prop_model_interleaved =
           map (fun t -> `Add (float_of_int t)) (int_bound 5);
           always `Pop;
           map (fun k -> `Compact k) (int_bound 3);
+          map (fun m -> `Keep_below m) (int_bound 40);
         ])
   in
   QCheck.Test.make ~name:"Eheap matches a sorted-list model under add/pop/compact"
     ~count:200
     QCheck.(list_of_size (Gen.int_range 0 120) op)
-    (fun ops ->
-      let h = Eheap.create ~dummy:(-1) () in
-      let model = ref [] (* sorted [(time, seq, value)] *) in
-      let seq = ref 0 in
-      let insert (t, s, v) l =
-        let rec go = function
-          | [] -> [ (t, s, v) ]
-          | ((t', s', _) as hd) :: tl ->
-              if t < t' || (t = t' && s < s') then (t, s, v) :: hd :: tl
-              else hd :: go tl
-        in
-        go l
-      in
-      List.for_all
-        (fun o ->
-          match o with
-          | `Add time ->
-              let s = !seq in
-              incr seq;
-              Eheap.add h ~time ~seq:s s;
-              model := insert (time, s, s) !model;
-              true
-          | `Pop -> (
-              match (Eheap.pop h, !model) with
-              | None, [] -> true
-              | Some (t, v), (t', s', v') :: tl ->
-                  model := tl;
-                  t = t' && v = v' && Eheap.size h = List.length tl && s' = v'
-              | Some _, [] | None, _ :: _ -> false)
-          | `Compact k ->
-              (* Keep a pseudo-random but deterministic subset. *)
-              let keep ~seq _ = (seq * 7) mod 4 <> k in
-              Eheap.compact h ~keep;
-              model :=
-                List.filter (fun (_, s, v) -> keep ~seq:s v) !model;
-              Eheap.size h = List.length !model)
-        ops
-      &&
-      let rec drain acc =
-        match Eheap.pop h with
-        | Some (t, v) -> drain ((t, v) :: acc)
-        | None -> List.rev acc
-      in
-      drain [] = List.map (fun (t, _, v) -> (t, v)) !model)
+    matches_model
+
+(* The small heaps where a 4-ary heapify has no internal node or only the
+   root: every size 0-9, each drained, compacted by the modular rule, and
+   compacted down to 0 or 1 survivors, then reused. *)
+let test_model_small_heaps () =
+  let adds n = List.init n (fun i -> `Add (float_of_int ((i * 3) mod 5))) in
+  let pops n = List.init n (fun _ -> `Pop) in
+  for n = 0 to 9 do
+    let inputs =
+      [ adds n @ pops (n + 1); adds n @ [ `Compact 1 ] @ pops n ]
+      @ List.map
+          (fun m -> adds n @ [ `Keep_below m ] @ adds 3 @ pops 2)
+          [ 0; 1 ]
+    in
+    List.iteri
+      (fun i ops ->
+        Alcotest.(check bool)
+          (Printf.sprintf "size %d, input %d" n i)
+          true (matches_model ops))
+      inputs
+  done
 
 let suite =
   [
@@ -292,4 +318,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     QCheck_alcotest.to_alcotest prop_fifo_on_equal_keys;
     QCheck_alcotest.to_alcotest prop_model_interleaved;
+    Alcotest.test_case "model on small heaps" `Quick test_model_small_heaps;
   ]

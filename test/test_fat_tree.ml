@@ -89,6 +89,10 @@ let test_end_to_end_delivery () =
   Engine.run e;
   Alcotest.(check int) "all flows delivered over ECMP" 8 !got
 
+let test_forwarding_matches_route () =
+  let e, _, topo = build 4 in
+  Test_link_net.check_forwarding_matches_route e topo ~flows:200
+
 let test_runner_on_fat_tree () =
   let sc = Scenario.fat_tree_uniform ~k:4 ~num_flows:80 ~seed:3 ~load:0.5 () in
   List.iter
@@ -109,5 +113,7 @@ let suite =
     Alcotest.test_case "flow path stable" `Quick test_flow_path_stable;
     Alcotest.test_case "ECMP spreads" `Quick test_ecmp_spreads;
     Alcotest.test_case "end-to-end delivery" `Quick test_end_to_end_delivery;
+    Alcotest.test_case "forwarding follows route" `Quick
+      test_forwarding_matches_route;
     Alcotest.test_case "runner on fat-tree" `Slow test_runner_on_fat_tree;
   ]

@@ -177,6 +177,78 @@ let test_end_to_end_delivery_tree () =
   Engine.run e;
   Alcotest.(check int) "all delivered across core" 10 !got
 
+(* Send one packet per flow between seeded random host pairs and compare
+   the links it crossed (those whose [bytes_txed] moved) with the links
+   along [Net.route ~flow]: forwarding must take the path [route] reports,
+   including the per-flow choice among equal-cost next hops. *)
+let check_forwarding_matches_route e (topo : Topology.t) ~flows =
+  let net = topo.Topology.net in
+  let h = topo.Topology.hosts in
+  let links = Net.links net in
+  let rng = Rng.create 17 in
+  let delivered = ref 0 in
+  for flow = 0 to flows - 1 do
+    let src = h.(Rng.int rng (Array.length h)) in
+    let rec pick_dst () =
+      let d = h.(Rng.int rng (Array.length h)) in
+      if d = src then pick_dst () else d
+    in
+    let dst = pick_dst () in
+    let before = List.map (fun (_, _, l) -> Link.bytes_txed l) links in
+    Net.register_flow net ~host:dst ~flow (fun _ -> incr delivered);
+    Net.send net
+      (Packet.make ~flow ~src ~dst ~kind:Packet.Data ~size:1500 ~seq:0
+         ~sent_at:0. ());
+    Engine.run e;
+    Net.unregister_flow net ~host:dst ~flow;
+    let crossed =
+      List.filter_map
+        (fun ((a, b, l), bytes0) ->
+          if Link.bytes_txed l > bytes0 then Some (a, b) else None)
+        (List.combine links before)
+    in
+    let rec hops = function
+      | a :: (b :: _ as rest) -> (a, b) :: hops rest
+      | _ -> []
+    in
+    Alcotest.(check (list (pair int int)))
+      (Printf.sprintf "flow %d %d->%d" flow src dst)
+      (List.sort compare (hops (Net.route net ~flow ~src ~dst ())))
+      crossed
+  done;
+  Alcotest.(check int) "every packet delivered" flows !delivered
+
+let test_forwarding_matches_route_rack () =
+  let e = Engine.create () in
+  let c = Counters.create () in
+  let topo =
+    Topology.single_rack e c ~hosts:40 ~rate_bps:1e9 ~link_delay_s:10e-6
+      ~qdisc:(fun ~rate_bps:_ -> Queue_disc.droptail c ~limit_pkts:100)
+  in
+  check_forwarding_matches_route e topo ~flows:200
+
+let test_register_before_finalize () =
+  let e = Engine.create () in
+  let c = Counters.create () in
+  let net = Net.create e c in
+  let a = Net.add_host net in
+  let sw = Net.add_switch net in
+  let b = Net.add_host net in
+  let got = ref 0 in
+  Net.register_flow net ~host:b ~flow:3 (fun _ -> incr got);
+  List.iter
+    (fun (x, y) ->
+      Net.connect net x y ~rate_bps:1e9 ~delay_s:10e-6 ~qdisc:(fun () ->
+          Queue_disc.droptail c ~limit_pkts:10))
+    [ (a, sw); (sw, b) ];
+  Net.finalize net;
+  Net.send net
+    (Packet.make ~flow:3 ~src:a ~dst:b ~kind:Packet.Data ~size:1500 ~seq:0
+       ~sent_at:0. ());
+  Engine.run e;
+  Alcotest.(check int) "delivered" 1 !got;
+  Alcotest.(check int) "no strays" 0 c.Counters.stray_pkts
+
 let suite =
   [
     Alcotest.test_case "link timing" `Quick test_link_timing;
@@ -189,4 +261,8 @@ let suite =
     Alcotest.test_case "tor/agg accessors" `Quick test_tree_tor_agg_of;
     Alcotest.test_case "base rtt" `Quick test_base_rtt;
     Alcotest.test_case "end-to-end delivery in tree" `Quick test_end_to_end_delivery_tree;
+    Alcotest.test_case "forwarding follows route (rack)" `Quick
+      test_forwarding_matches_route_rack;
+    Alcotest.test_case "handler registered before finalize" `Quick
+      test_register_before_finalize;
   ]

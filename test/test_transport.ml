@@ -268,6 +268,54 @@ let test_deterministic_fct () =
   in
   Alcotest.(check (float 0.)) "identical runs" (run ()) (run ())
 
+(* A window that outgrows the send-time ring's initial 16 slots, drops on
+   an 8-packet droptail queue, fast retransmits and a single RTO. The FCT
+   and final srtt are pinned to the values the per-segment hash table that
+   the ring replaced produced: srtt folds in every RTT sample, so a sample
+   taken from a retransmitted segment (Karn's rule) or from a stale slot
+   would move it. *)
+let test_send_time_ring_pinned () =
+  let fast = ref 0 and rtos = ref 0 and peak_window = ref 0 in
+  let hooks =
+    {
+      Sender_base.default_hooks with
+      Sender_base.on_ack =
+        (fun s ~ecn:_ ~newly_acked ->
+          peak_window :=
+            max !peak_window (Sender_base.sent_new_pkts s - Sender_base.cum_ack s);
+          Sender_base.set_cwnd s
+            (Sender_base.cwnd s +. float_of_int newly_acked));
+      on_fast_retransmit =
+        (fun s ->
+          incr fast;
+          Sender_base.set_cwnd s (Sender_base.cwnd s /. 2.));
+      on_timeout =
+        (fun _ ->
+          incr rtos;
+          `Default);
+    }
+  in
+  let rigv =
+    rig ~qdisc:(fun c ~rate_bps:_ -> Queue_disc.droptail c ~limit_pkts:8) ()
+  in
+  let _, c, _ = rigv in
+  let conf =
+    {
+      Sender_base.default_conf with
+      Sender_base.init_cwnd = 4.;
+      min_rto = 0.002;
+      init_rtt = 100e-6;
+    }
+  in
+  let sender, fct = run_flow rigv ~hooks ~conf ~size_pkts:400 in
+  Alcotest.(check bool) "window outgrew 16 slots" true (!peak_window > 16);
+  Alcotest.(check bool) "drops" true (c.Counters.dropped_pkts > 0);
+  Alcotest.(check bool) "fast retransmit" true (!fast > 0);
+  Alcotest.(check int) "one RTO" 1 !rtos;
+  Alcotest.(check (option (float 0.))) "pinned fct" (Some 0.010668639999999818) fct;
+  Alcotest.(check (float 0.)) "pinned srtt" 0.00015599999997363613
+    (Sender_base.srtt sender)
+
 let suite =
   [
     Alcotest.test_case "seg store" `Quick test_seg_store;
@@ -282,4 +330,5 @@ let suite =
     Alcotest.test_case "pacing rate limits" `Quick test_pacing_rate_limits;
     Alcotest.test_case "allow_send gate" `Quick test_allow_send_gate;
     Alcotest.test_case "deterministic fct" `Quick test_deterministic_fct;
+    Alcotest.test_case "send-time ring pinned" `Quick test_send_time_ring_pinned;
   ]

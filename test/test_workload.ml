@@ -463,6 +463,23 @@ let test_coflow_runner_aggregate () =
       Alcotest.(check string) "rerun byte-identical"
         (Result_codec.to_json r1) (Result_codec.to_json r2)
 
+(* Regression: rendering JSON queried the coflow, attribution and streaming
+   FCT t-digests, which compressed their buffered values in place, so a
+   blob encoded after [to_json] differed from one encoded before it. *)
+let test_encode_independent_of_queries () =
+  let sc =
+    Scenario.with_coflows
+      (Scenario.fat_tree_uniform ~k:4 ~num_flows:60 ~seed:12 ~load:0.5 ())
+      ~width:(Dist.uniform 2. 5.) ()
+  in
+  let r = Runner.run ~stats:`Streaming ~attrib:true Runner.Dctcp sc in
+  let before = Result_codec.encode r in
+  let json = Result_codec.to_json r in
+  Alcotest.(check string) "encode unchanged by to_json" before
+    (Result_codec.encode r);
+  Alcotest.(check string) "to_json unchanged by encode" json
+    (Result_codec.to_json r)
+
 let suite =
   [
     Alcotest.test_case "left-right plan" `Quick test_left_right_plan;
@@ -498,4 +515,6 @@ let suite =
     Alcotest.test_case "coflow rejects incast" `Quick test_coflow_rejects_incast;
     Alcotest.test_case "coflow runner aggregate" `Slow
       test_coflow_runner_aggregate;
+    Alcotest.test_case "encode independent of queries" `Quick
+      test_encode_independent_of_queries;
   ]
