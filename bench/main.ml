@@ -1,6 +1,6 @@
 (* Experiment harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md section 4 for the experiment index), plus
-   bechamel micro-benchmarks of the core primitives.
+   evaluation (see DESIGN.md section 4 for the experiment index). Simulator
+   performance is measured by perfbench/, not here.
 
    Usage:
      dune exec bench/main.exe                 # all experiments
@@ -704,97 +704,6 @@ let ext_empirical () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of core primitives                         *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  let arbitration_inputs =
-    List.init 100 (fun i ->
-        {
-          Arbitration.flow = i;
-          criterion = float_of_int (i * 37 mod 100);
-          demand_bps = 1e9;
-        })
-  in
-  let bench_assign () =
-    ignore
-      (Arbitration.assign ~capacity_bps:10e9 ~num_queues:8 ~base_rate_bps:1e5
-         arbitration_inputs)
-  in
-  let bench_arbitrator () =
-    let a = Arbitrator.create ~capacity_bps:10e9 () in
-    for i = 0 to 99 do
-      Arbitrator.upsert a ~flow:i
-        ~criterion:(float_of_int (i * 37 mod 100))
-        ~demand_bps:1e9 ~now:0.
-    done;
-    Arbitrator.arbitrate a ~num_queues:8 ~base_rate_bps:1e5
-  in
-  let c = Counters.create () in
-  let prio = Prio_queue.create c ~bands:8 ~limit_pkts:500 ~mark_threshold:65 in
-  let pkt =
-    Packet.make ~flow:0 ~src:0 ~dst:1 ~kind:Packet.Data ~size:1500 ~seq:0
-      ~tos:3 ~sent_at:0. ()
-  in
-  let bench_prio () =
-    prio.Queue_disc.enqueue pkt;
-    ignore (prio.Queue_disc.dequeue ())
-  in
-  let pfq = Pfabric_queue.create c ~limit_pkts:76 in
-  let () =
-    (* Pre-fill to a realistic occupancy. *)
-    for i = 0 to 39 do
-      pfq.Queue_disc.enqueue
-        (Packet.make ~flow:i ~src:0 ~dst:1 ~kind:Packet.Data ~size:1500 ~seq:i
-           ~prio:(float_of_int i) ~sent_at:0. ())
-    done
-  in
-  let bench_pfabric () =
-    pfq.Queue_disc.enqueue pkt;
-    ignore (pfq.Queue_disc.dequeue ())
-  in
-  let bench_engine () =
-    let e = Engine.create () in
-    for _ = 1 to 1000 do
-      Engine.schedule e ~delay:1.0 ignore
-    done;
-    Engine.run e
-  in
-  let tests =
-    [
-      Test.make ~name:"arbitration.assign-100-flows" (Staged.stage bench_assign);
-      Test.make ~name:"arbitrator.round-100-flows" (Staged.stage bench_arbitrator);
-      Test.make ~name:"prio-queue.enq+deq" (Staged.stage bench_prio);
-      Test.make ~name:"pfabric-queue.enq+deq@40" (Staged.stage bench_pfabric);
-      Test.make ~name:"engine.1k-events" (Staged.stage bench_engine);
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"micro" tests) in
-  let results = Analyze.all ols (List.hd instances) raw in
-  let rows =
-    Det_tbl.fold
-      (fun name ols acc ->
-        let est =
-          match Analyze.OLS.estimates ols with
-          | Some (e :: _) -> Printf.sprintf "%.1f" e
-          | Some [] | None -> "n/a"
-        in
-        [ name; est ] :: acc)
-      results []
-    |> List.sort (List.compare String.compare)
-  in
-  Series.print_table
-    ~title:"Micro-benchmarks (ns per operation, monotonic clock OLS)"
-    ~header:[ "operation"; "ns/op" ]
-    rows
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -823,7 +732,6 @@ let experiments =
     ("ext-task", "Extension: task-aware scheduling", ext_task);
     ("ext-fattree", "Extension: fat-tree + ECMP", ext_fattree);
     ("ext-empirical", "Extension: web-search/data-mining flow sizes", ext_empirical);
-    ("micro", "Bechamel micro-benchmarks", micro);
   ]
 
 let () =

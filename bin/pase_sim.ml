@@ -451,6 +451,68 @@ let customize scn ~sizes ~coflows =
       try Ok (Scenario.with_coflows scn ?deadline_s ~width ())
       with Invalid_argument e -> Error e)
 
+(* The simulated configuration both [run] and [compare] take: --scenario,
+   --load, --flows, --seed, --workload/--cdf, --coflows, --hybrid and
+   --fluid-threshold, validated and resolved once. *)
+type setup = {
+  name : string;  (** the --scenario name *)
+  load : float;
+  scenario : Scenario.t;
+  hybrid : Runner.hybrid option;
+}
+
+let setup_term =
+  let resolve name load flows seed hybrid_on fluid_threshold workload cdf
+      coflows =
+    let ( let* ) = Result.bind in
+    let check ok msg = if ok then Ok () else Error msg in
+    let* build = find_scenario name in
+    let* () =
+      check
+        (load > 0. && load <= 1.)
+        (Printf.sprintf "--load must be in (0, 1], got %g" load)
+    in
+    let* () =
+      check (flows >= 1)
+        (Printf.sprintf "--flows must be at least 1, got %d" flows)
+    in
+    let* () =
+      match fluid_threshold with
+      | Some t when t <= 0 ->
+          Error (Printf.sprintf "--fluid-threshold must be positive, got %d" t)
+      | Some _ | None -> Ok ()
+    in
+    let* sizes = resolve_sizes ~workload ~cdf in
+    let* coflows =
+      match coflows with
+      | None -> Ok None
+      | Some spec -> Result.map Option.some (parse_coflows spec)
+    in
+    let* scenario =
+      customize (build ~num_flows:flows ~seed ~load) ~sizes ~coflows
+    in
+    (* --hybrid alone uses the default threshold; --fluid-threshold alone
+       configures tagging-only (enabled = false) so a packet run carries the
+       classifier tags for accuracy comparison. *)
+    let hybrid =
+      match (hybrid_on, fluid_threshold) with
+      | false, None -> None
+      | enabled, thr ->
+          Some
+            {
+              Runner.enabled;
+              fluid_threshold =
+                Option.value thr ~default:Runner.default_fluid_threshold;
+            }
+    in
+    Ok { name; load; scenario; hybrid }
+  in
+  Term.(
+    term_result' ~usage:false
+      (const resolve $ scenario_arg $ load_arg $ flows_arg $ seed_arg
+     $ hybrid_arg $ fluid_threshold_arg $ workload_arg $ cdf_arg
+     $ coflows_arg))
+
 let faults_arg =
   let doc =
     "Semicolon-separated fault schedule: \
@@ -543,32 +605,16 @@ let profile_rows (r : Runner.result) =
       ]
 
 let run_cmd =
-  let action scenario protocol load flows seed no_cache json trace trace_format
-      trace_filter trace_limit profile faults stream_results exact_stats attrib
-      series series_interval hybrid_on fluid_threshold workload cdf coflows =
-    match (find_scenario scenario, find_protocol protocol) with
-    | Ok sc, Ok proto ->
-        if load <= 0. || load > 1. then `Error (false, "load must be in (0,1]")
-        else if series_interval <= 0. then
-          `Error (false, "series-interval must be positive")
-        else if
-          match fluid_threshold with Some t -> t <= 0 | None -> false
-        then `Error (false, "fluid-threshold must be positive")
+  let action setup protocol no_cache json trace trace_format trace_filter
+      trace_limit profile faults stream_results exact_stats attrib series
+      series_interval =
+    match find_protocol protocol with
+    | Error e -> `Error (false, e)
+    | Ok proto ->
+        if series_interval <= 0. then
+          `Error (false, "--series-interval must be positive")
         else begin
-          (* --hybrid alone uses the default threshold; --fluid-threshold
-             alone configures tagging-only (enabled = false) so a packet run
-             carries the classifier tags for accuracy comparison. *)
-          let hybrid =
-            match (hybrid_on, fluid_threshold) with
-            | false, None -> None
-            | enabled, thr ->
-                Some
-                  {
-                    Runner.enabled;
-                    fluid_threshold =
-                      Option.value thr ~default:Runner.default_fluid_threshold;
-                  }
-          in
+          let hybrid = setup.hybrid in
           let filter =
             match trace_filter with
             | None -> Ok (None, None, None)
@@ -577,18 +623,9 @@ let run_cmd =
           let faults =
             match faults with None -> Ok [] | Some spec -> Fault.parse spec
           in
-          let sizes = resolve_sizes ~workload ~cdf in
-          let coflows =
-            match coflows with
-            | None -> Ok None
-            | Some spec -> Result.map Option.some (parse_coflows spec)
-          in
-          match (filter, faults, sizes, coflows) with
-          | Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _
-          | _, _, _, Error e ->
-              `Error (false, e)
-          | Ok (kinds, flows_f, links), Ok fault_events, Ok sizes, Ok coflows
-            ->
+          match (filter, faults) with
+          | Error e, _ | _, Error e -> `Error (false, e)
+          | Ok (kinds, flows_f, links), Ok fault_events ->
               let trace_oc =
                 match trace with
                 | None -> None
@@ -623,14 +660,7 @@ let run_cmd =
                 no_cache || trace_oc <> None || attrib <> None
                 || series <> None
               in
-              match
-                customize
-                  (Scenario.with_faults (sc ~num_flows:flows ~seed ~load)
-                     fault_events)
-                  ~sizes ~coflows
-              with
-              | Error e -> `Error (false, e)
-              | Ok scn ->
+              let scn = Scenario.with_faults setup.scenario fault_events in
               let attrib_flows = ref 0 in
               let series_seen = ref 0 in
               let series_dropped = ref 0 in
@@ -788,116 +818,67 @@ let run_cmd =
               end;
               `Ok ()
         end
-    | Error e, _ | _, Error e -> `Error (false, e)
   in
   let term =
     Term.(
-      ret (const action $ scenario_arg $ protocol_arg $ load_arg $ flows_arg
-          $ seed_arg $ no_cache_arg $ json_arg $ trace_arg $ trace_format_arg
-          $ trace_filter_arg $ trace_limit_arg $ profile_arg $ faults_arg
-          $ stream_results_arg $ exact_stats_arg $ attrib_arg $ series_arg
-          $ series_interval_arg $ hybrid_arg $ fluid_threshold_arg
-          $ workload_arg $ cdf_arg $ coflows_arg))
+      ret (const action $ setup_term $ protocol_arg $ no_cache_arg $ json_arg
+          $ trace_arg $ trace_format_arg $ trace_filter_arg $ trace_limit_arg
+          $ profile_arg $ faults_arg $ stream_results_arg $ exact_stats_arg
+          $ attrib_arg $ series_arg $ series_interval_arg))
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one protocol on one scenario") term
 
 let compare_cmd =
-  let action scenario load flows seed jobs no_cache hybrid_on fluid_threshold
-      workload cdf coflows =
-    match find_scenario scenario with
-    | Error e -> `Error (false, e)
-    | Ok sc -> (
-        if match fluid_threshold with Some t -> t <= 0 | None -> false then
-          `Error (false, "fluid-threshold must be positive")
-        else
-        let hybrid =
-          match (hybrid_on, fluid_threshold) with
-          | false, None -> None
-          | enabled, thr ->
-              Some
-                {
-                  Runner.enabled;
-                  fluid_threshold =
-                    Option.value thr ~default:Runner.default_fluid_threshold;
-                }
-        in
-        let sizes = resolve_sizes ~workload ~cdf in
-        let coflows =
-          match coflows with
-          | None -> Ok None
-          | Some spec -> Result.map Option.some (parse_coflows spec)
-        in
-        match (sizes, coflows) with
-        | Error e, _ | _, Error e -> `Error (false, e)
-        | Ok sizes, Ok coflows -> (
-            match customize (sc ~num_flows:flows ~seed ~load) ~sizes ~coflows with
-            | Error e -> `Error (false, e)
-            | Ok scn ->
-                (* Fan every protocol out to the worker pool; results come
-                   back in input order, so the table is identical to a
-                   serial run. *)
-                let pairs =
-                  List.map (fun (_, proto) -> (proto, scn)) protocols
+  let action setup jobs no_cache =
+    (* Fan every protocol out to the worker pool; results come back in input
+       order, so the table is identical to a serial run. *)
+    let pairs =
+      List.map (fun (_, proto) -> (proto, setup.scenario)) protocols
+    in
+    let results =
+      Parallel.run_jobs ?jobs ~cache_dir:(cache_dir ~no_cache)
+        ?hybrid:setup.hybrid pairs
+    in
+    (* Same scenario everywhere: either every result carries a coflow
+       aggregate or none does. *)
+    let with_cct = List.exists (fun r -> r.Runner.coflow <> None) results in
+    let rows =
+      List.map2
+        (fun (name, _) r ->
+          [
+            name;
+            Printf.sprintf "%.3f" (r.Runner.afct *. 1e3);
+            Printf.sprintf "%.3f" (r.Runner.p99 *. 1e3);
+            (if Float.is_nan r.Runner.app_throughput then "n/a"
+             else Printf.sprintf "%.3f" r.Runner.app_throughput);
+            Printf.sprintf "%.2f" (r.Runner.loss_rate *. 100.);
+          ]
+          @
+          if not with_cct then []
+          else
+            match r.Runner.coflow with
+            | None -> [ "n/a"; "n/a" ]
+            | Some c ->
+                let ms v =
+                  if Float.is_nan v then "n/a"
+                  else Printf.sprintf "%.3f" (v *. 1e3)
                 in
-                let results =
-                  Parallel.run_jobs ?jobs ~cache_dir:(cache_dir ~no_cache)
-                    ?hybrid pairs
-                in
-                (* Same scenario everywhere: either every result carries a
-                   coflow aggregate or none does. *)
-                let with_cct =
-                  List.exists (fun r -> r.Runner.coflow <> None) results
-                in
-                let rows =
-                  List.map2
-                    (fun (name, _) r ->
-                      [
-                        name;
-                        Printf.sprintf "%.3f" (r.Runner.afct *. 1e3);
-                        Printf.sprintf "%.3f" (r.Runner.p99 *. 1e3);
-                        (if Float.is_nan r.Runner.app_throughput then "n/a"
-                         else Printf.sprintf "%.3f" r.Runner.app_throughput);
-                        Printf.sprintf "%.2f" (r.Runner.loss_rate *. 100.);
-                      ]
-                      @
-                      if not with_cct then []
-                      else
-                        match r.Runner.coflow with
-                        | None -> [ "n/a"; "n/a" ]
-                        | Some c ->
-                            let ms v =
-                              if Float.is_nan v then "n/a"
-                              else Printf.sprintf "%.3f" (v *. 1e3)
-                            in
-                            [
-                              ms (Coflow.cct_mean c);
-                              ms (Coflow.cct_quantile c 0.99);
-                            ])
-                    protocols results
-                in
-                Series.print_table
-                  ~title:
-                    (Printf.sprintf "all protocols on %s at %.0f%% load"
-                       scenario (load *. 100.))
-                  ~header:
-                    ([
-                       "protocol"; "AFCT(ms)"; "p99(ms)"; "deadline-met";
-                       "loss(%)";
-                     ]
-                    @ if with_cct then [ "CCT(ms)"; "CCT p99(ms)" ] else [])
-                  rows;
-                `Ok ()))
-  in
-  let term =
-    Term.(
-      ret (const action $ scenario_arg $ load_arg $ flows_arg $ seed_arg
-          $ jobs_arg $ no_cache_arg $ hybrid_arg $ fluid_threshold_arg
-          $ workload_arg $ cdf_arg $ coflows_arg))
+                [ ms (Coflow.cct_mean c); ms (Coflow.cct_quantile c 0.99) ])
+        protocols results
+    in
+    Series.print_table
+      ~title:
+        (Printf.sprintf "all protocols on %s at %.0f%% load" setup.name
+           (setup.load *. 100.))
+      ~header:
+        ([ "protocol"; "AFCT(ms)"; "p99(ms)"; "deadline-met"; "loss(%)" ]
+        @ if with_cct then [ "CCT(ms)"; "CCT p99(ms)" ] else [])
+      rows
   in
   Cmd.v
     (Cmd.info "compare"
        ~doc:"Run every protocol on one scenario (in parallel) and compare")
-    term
+    Term.(const action $ setup_term $ jobs_arg $ no_cache_arg)
 
 let report_cmd =
   let result_arg =

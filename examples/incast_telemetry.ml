@@ -1,7 +1,7 @@
 (* Incast under the microscope: 19 workers answer one aggregator at the
-   same instant. Telemetry on the aggregator's downlink shows how PASE
-   serializes the fan-in (full utilization, bounded queue) while pFabric's
-   line-rate start floods the port and sheds packets.
+   same instant. The fabric sampler on the aggregator's downlink shows how
+   PASE serializes the fan-in (full utilization, bounded queue) while
+   pFabric's line-rate start floods the port and sheds packets.
 
    Run with: dune exec examples/incast_telemetry.exe *)
 
@@ -18,8 +18,11 @@ let run_incast name ~make_qdisc ~make_host =
   let net = topo.Topology.net in
   let tor = Topology.tor_of topo agg in
   let downlink = Option.get (Net.link_from net tor agg) in
-  let telemetry =
-    Telemetry.create engine ~period:0.5e-3 [ ("ToR->aggregator", downlink) ]
+  let store = Series.store () in
+  let sampler =
+    Sampler.start engine ~store ~interval:0.5e-3
+      ~links:[ ("downlink", downlink) ]
+      ()
   in
   let fcts = ref [] in
   let setup = make_host engine counters topo in
@@ -34,19 +37,25 @@ let run_incast name ~make_qdisc ~make_host =
         fcts := fct :: !fcts;
         (* Freeze the measurement window when the fan-in drains. *)
         if List.length !fcts = 19 then begin
-          Telemetry.stop telemetry;
+          Sampler.stop sampler;
           Engine.stop engine
         end)
   done;
   Engine.run ~until:0.2 engine;
+  let values metric =
+    List.filter_map
+      (fun (s : Series.sample) ->
+        if s.Series.metric = metric then Some s.Series.v else None)
+      (Series.samples store)
+  in
   Printf.printf
     "%-8s AFCT %6.2f ms | last %6.2f ms | downlink util %3.0f%% | peak queue \
      %3d pkts | drops %d\n"
     name
     (Summary.mean !fcts *. 1e3)
     (Summary.max !fcts *. 1e3)
-    (Telemetry.mean_utilization telemetry "ToR->aggregator" *. 100.)
-    (Telemetry.peak_queue telemetry "ToR->aggregator")
+    (Summary.mean (values "link.downlink.util") *. 100.)
+    (int_of_float (List.fold_left Float.max 0. (values "q.downlink.pkts")))
     counters.Counters.dropped_pkts
 
 let () =

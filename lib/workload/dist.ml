@@ -3,6 +3,7 @@ type t = {
   mean : float;
   name : string;
   icdf : (float -> float) option;
+  points : (float * float) list;
 }
 
 let uniform a b =
@@ -12,6 +13,7 @@ let uniform a b =
     mean = (a +. b) /. 2.;
     name = Printf.sprintf "U[%g,%g]" a b;
     icdf = None;
+    points = [];
   }
 
 let constant v =
@@ -20,6 +22,7 @@ let constant v =
     mean = v;
     name = Printf.sprintf "const %g" v;
     icdf = None;
+    points = [];
   }
 
 let exponential ~mean =
@@ -28,6 +31,7 @@ let exponential ~mean =
     mean;
     name = Printf.sprintf "Exp(%g)" mean;
     icdf = None;
+    points = [];
   }
 
 let choice xs =
@@ -40,6 +44,7 @@ let choice xs =
         mean = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs);
         name = "choice";
         icdf = None;
+    points = [];
       }
 
 let sample_int t rng = int_of_float (Float.round (t.sample rng))
@@ -85,7 +90,7 @@ let piecewise ~name points =
     let v1, p1 = arr.(i) and v2, p2 = arr.(i + 1) in
     mean := !mean +. ((p2 -. p1) *. (v1 +. v2) /. 2.)
   done;
-  { sample; mean = !mean; name; icdf = Some inv }
+  { sample; mean = !mean; name; icdf = Some inv; points }
 
 (* Piecewise approximations of the flow-size CDFs used throughout the
    data-center transport literature (DCTCP production cluster and VL2). *)

@@ -9,6 +9,10 @@ type t = {
       (** Inverse CDF (quantile function) when the distribution was built
           from an empirical CDF table; [None] for parametric families.
           Clamps its argument to [0, 1]. *)
+  points : (float * float) list;
+      (** The [(value, cumulative probability)] breakpoints of an empirical
+          CDF table, as given to {!piecewise}; [[]] for parametric
+          families. *)
 }
 
 (** Uniform on [a, b]. *)

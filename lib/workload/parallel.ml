@@ -62,14 +62,32 @@ let protocol_key = function
     | Runner.D3) as p ->
       Runner.name p
 
+(* A distribution's identity: its name and mean, plus the breakpoints of an
+   empirical CDF table, so two tables that share a file name and a mean but
+   differ in shape never share a cache entry. The breakpoints go in as raw
+   float bits: exact, and cheap enough for the cache-hit path. *)
+let dist_key (d : Dist.t) =
+  let b = Buffer.create 64 in
+  Buffer.add_string b d.Dist.name;
+  Buffer.add_char b '/';
+  Buffer.add_string b (fl d.Dist.mean);
+  Buffer.add_char b '/';
+  Buffer.add_string b (string_of_int (List.length d.Dist.points));
+  Buffer.add_char b ':';
+  List.iter
+    (fun (v, p) ->
+      Buffer.add_int64_le b (Int64.bits_of_float v);
+      Buffer.add_int64_le b (Int64.bits_of_float p))
+    d.Dist.points;
+  Buffer.contents b
+
 let pattern_key = function
   | Scenario.Left_right -> "left-right"
   | Scenario.Intra_rack n -> Printf.sprintf "intra-rack:%d" n
   | Scenario.Incast { hosts; aggregators; fanin = None } ->
       Printf.sprintf "incast:%d/%d" hosts aggregators
   | Scenario.Incast { hosts; aggregators; fanin = Some d } ->
-      Printf.sprintf "incast:%d/%d/fanin=%s/%s" hosts aggregators d.Dist.name
-        (fl d.Dist.mean)
+      Printf.sprintf "incast:%d/%d/fanin=%s" hosts aggregators (dist_key d)
   | Scenario.Fat_tree k -> Printf.sprintf "fat-tree:%d" k
   | Scenario.Hotspot { k; hot_racks; hot_weight } ->
       Printf.sprintf "hotspot:%d/%d/%s" k hot_racks (fl hot_weight)
@@ -77,15 +95,13 @@ let pattern_key = function
   | Scenario.Testbed -> "testbed"
 
 let scenario_key (s : Scenario.t) =
+  let opt_dist = function None -> "-" | Some d -> dist_key d in
   String.concat "|"
     [
       s.Scenario.name;
       pattern_key s.Scenario.pattern;
-      "size=" ^ s.Scenario.size_bytes.Dist.name;
-      "mean=" ^ fl s.Scenario.size_bytes.Dist.mean;
-      (match s.Scenario.deadline_s with
-      | None -> "deadline=-"
-      | Some d -> Printf.sprintf "deadline=%s/%s" d.Dist.name (fl d.Dist.mean));
+      "size=" ^ dist_key s.Scenario.size_bytes;
+      "deadline=" ^ opt_dist s.Scenario.deadline_s;
       "load=" ^ fl s.Scenario.load;
       Printf.sprintf "flows=%d" s.Scenario.num_flows;
       Printf.sprintf "bg=%d" s.Scenario.background_flows;
@@ -94,10 +110,7 @@ let scenario_key (s : Scenario.t) =
       (match s.Scenario.coflow with
       | None -> "coflow=-"
       | Some { Scenario.width; deadline_s } ->
-          Printf.sprintf "coflow=%s/%s/%s" width.Dist.name (fl width.Dist.mean)
-            (match deadline_s with
-            | None -> "-"
-            | Some d -> Printf.sprintf "%s/%s" d.Dist.name (fl d.Dist.mean)));
+          Printf.sprintf "coflow=%s/%s" (dist_key width) (opt_dist deadline_s));
     ]
 
 let job_key ?horizon ?(profile = false) ?(stats = `Exact) ?(attrib = false)
@@ -193,8 +206,7 @@ type worker = { pid : int; idx : int; buf : Buffer.t; started : float }
    worker simulates its configuration and streams the encoded result back
    over its pipe; the parent multiplexes reads with [select] so a worker
    never blocks on a full pipe buffer. *)
-let run_pool ~jobs ~horizon ~profile ~stats ~attrib ~hybrid ~(arr : job array)
-    pending ~on_done =
+let run_pool ~jobs ~simulate pending ~on_done =
   let queue = ref pending in
   let active : (Unix.file_descr, worker) Hashtbl.t = Hashtbl.create jobs in
   let spawn idx =
@@ -206,13 +218,7 @@ let run_pool ~jobs ~horizon ~profile ~stats ~attrib ~hybrid ~(arr : job array)
     | 0 ->
         Unix.close rd;
         let status =
-          match
-            let proto, scenario = arr.(idx) in
-            let r =
-              Runner.run ~profile ?horizon ~stats ~attrib ?hybrid proto scenario
-            in
-            write_all wr (Result_codec.encode r)
-          with
+          match write_all wr (Result_codec.encode (simulate idx)) with
           | () -> 0
           | exception exn ->
               Printf.eprintf "[parallel] worker for job %d died: %s\n%!" idx
@@ -341,35 +347,22 @@ let run_jobs ?jobs ?cache_dir ?horizon ?(profile = false) ?(stats = `Exact)
     | Some dir -> cache_store dir keys.(i) r
     | None -> ())
   in
-  (* 3. Simulate the representatives: in-process when [jobs = 1] (or for a
-     single job), over the fork pool otherwise. *)
-  (match !pending with
-  | [] -> ()
-  | [ i ] ->
-      let proto, scenario = arr.(i) in
-      (* lint: allow no-wallclock — job elapsed-time diagnostics only *)
-      let t0 = Unix.gettimeofday () in
-      let r =
-        Runner.run ~profile ?horizon ~stats ~attrib ?hybrid proto scenario
-      in
-      (* lint: allow no-wallclock — job elapsed-time diagnostics only *)
-      publish i r (Unix.gettimeofday () -. t0)
-  | pending_list ->
-      if jobs = 1 then
-        List.iter
-          (fun i ->
-            let proto, scenario = arr.(i) in
-            (* lint: allow no-wallclock — job elapsed-time diagnostics only *)
-            let t0 = Unix.gettimeofday () in
-            let r =
-              Runner.run ~profile ?horizon ~stats ~attrib ?hybrid proto scenario
-            in
-            (* lint: allow no-wallclock — job elapsed-time diagnostics only *)
-            publish i r (Unix.gettimeofday () -. t0))
-          pending_list
-      else
-        run_pool ~jobs ~horizon ~profile ~stats ~attrib ~hybrid ~arr
-          pending_list ~on_done:publish);
+  (* 3. Simulate the representatives: in-process when [jobs = 1] or for a
+     single job, over the fork pool otherwise. *)
+  let simulate i =
+    let proto, scenario = arr.(i) in
+    Runner.run ~profile ?horizon ~stats ~attrib ?hybrid proto scenario
+  in
+  if jobs = 1 || List.compare_length_with !pending 1 <= 0 then
+    List.iter
+      (fun i ->
+        (* lint: allow no-wallclock — job elapsed-time diagnostics only *)
+        let t0 = Unix.gettimeofday () in
+        let r = simulate i in
+        (* lint: allow no-wallclock — job elapsed-time diagnostics only *)
+        publish i r (Unix.gettimeofday () -. t0))
+      !pending
+  else run_pool ~jobs ~simulate !pending ~on_done:publish;
   (* 4. Fan shared results back out to duplicate configurations. *)
   Array.to_list
     (Array.mapi

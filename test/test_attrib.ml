@@ -95,6 +95,43 @@ let test_off_by_default () =
   Alcotest.(check bool) "no aggregate" true (r.Runner.attrib = None);
   Alcotest.(check bool) "delay switch off" false (Delay.on ())
 
+(* Observation never changes the simulated outcome: one seeded PASE run,
+   executed plain, with attribution and with the fabric sampler, yields the
+   same flow records and headline metrics. Attribution schedules nothing, so
+   its event count matches the plain run's and its encoded result is
+   byte-identical once the aggregate is dropped; the sampler adds its own
+   timer events, so only its outcome is compared. *)
+let test_observation_never_changes_results () =
+  let scenario =
+    Scenario.fat_tree_uniform ~k:4 ~num_flows:120 ~seed:5 ~load:0.6 ()
+  in
+  let plain = Runner.run Runner.pase scenario in
+  let attributed = Runner.run ~attrib:true Runner.pase scenario in
+  let sampled =
+    Runner.run ~series:(Series.store (), 1e-4) Runner.pase scenario
+  in
+  List.iter
+    (fun (name, (r : Runner.result)) ->
+      Alcotest.(check bool)
+        (name ^ ": same flow records")
+        true
+        (compare (Fct.records plain.Runner.fct) (Fct.records r.Runner.fct)
+        = 0);
+      Alcotest.(check int) (name ^ ": completed") plain.Runner.completed
+        r.Runner.completed;
+      Alcotest.(check bool) (name ^ ": afct") true
+        (Float.equal plain.Runner.afct r.Runner.afct);
+      Alcotest.(check bool) (name ^ ": p99") true
+        (Float.equal plain.Runner.p99 r.Runner.p99);
+      Alcotest.(check int) (name ^ ": stray packets") plain.Runner.stray_pkts
+        r.Runner.stray_pkts)
+    [ ("attrib", attributed); ("series", sampled) ];
+  Alcotest.(check int) "attrib: same event count" plain.Runner.events
+    attributed.Runner.events;
+  Alcotest.(check string) "attrib: encoding minus aggregate is byte-identical"
+    (Result_codec.encode plain)
+    (Result_codec.encode { attributed with Runner.attrib = None })
+
 (* Merging two half-aggregates reproduces the single-pass one up to float
    summation order (Welford's merge reassociates, so byte identity is not
    promised — component totals and counts are). *)
@@ -268,6 +305,8 @@ let suite =
     Alcotest.test_case "pdq arb wait positive" `Quick
       test_pdq_arb_wait_positive;
     Alcotest.test_case "off by default" `Quick test_off_by_default;
+    Alcotest.test_case "observation never changes results" `Slow
+      test_observation_never_changes_results;
     Alcotest.test_case "aggregate merge" `Quick test_aggregate_merge;
     Alcotest.test_case "sampler deterministic" `Quick
       test_sampler_deterministic;

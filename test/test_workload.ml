@@ -289,6 +289,32 @@ let test_cdf_file_ok () =
           Alcotest.(check (float 1e-9)) "table mean" 30_250. d.Dist.mean;
           Alcotest.(check (float 0.)) "knot" 10_000. ((icdf_of d) 0.5))
 
+(* Two tables that share a file name and a mean but differ in shape must
+   not share a result-cache entry. *)
+let test_cdf_cache_key_shape () =
+  let table dir contents =
+    let dir = Filename.temp_dir "pase-cdf" dir in
+    let path = Filename.concat dir "my.cdf" in
+    let oc = open_out path in
+    output_string oc contents;
+    close_out oc;
+    let d = Dist.of_cdf_file path in
+    Sys.remove path;
+    Sys.rmdir dir;
+    match d with Ok d -> d | Error e -> Alcotest.fail e
+  in
+  let a = table "a" "1000 0\n2000 0.5\n3000 1\n" in
+  let b = table "b" "1500 0\n2000 0.5\n2500 1\n" in
+  Alcotest.(check string) "same name" a.Dist.name b.Dist.name;
+  Alcotest.(check (float 0.)) "same mean" a.Dist.mean b.Dist.mean;
+  let key d =
+    Parallel.job_key Runner.pase
+      (Scenario.with_sizes
+         (Scenario.testbed ~num_flows:100 ~seed:1 ~load:0.5 ())
+         d)
+  in
+  Alcotest.(check bool) "different job keys" true (key a <> key b)
+
 let test_cdf_file_malformed () =
   let expect_error label contents =
     with_temp_cdf contents (fun path ->
@@ -507,6 +533,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_empirical_quantiles;
     Alcotest.test_case "cdf file ok" `Quick test_cdf_file_ok;
     Alcotest.test_case "cdf file malformed" `Quick test_cdf_file_malformed;
+    Alcotest.test_case "cdf cache key tracks shape" `Quick
+      test_cdf_cache_key_shape;
     Alcotest.test_case "hotspot bias" `Quick test_hotspot_bias;
     Alcotest.test_case "hotspot validation" `Quick test_hotspot_validation;
     Alcotest.test_case "incast fanin" `Quick test_incast_fanin;
