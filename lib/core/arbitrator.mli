@@ -35,11 +35,42 @@ val clear : t -> unit
     lost sources). *)
 val expire : t -> now:float -> max_age:float -> unit
 
-(** Run Algorithm 1 over the current flow set and cache the results. *)
+(** Run Algorithm 1 over the current flow set and cache the results. An
+    arbitrator that had no flows at its last pass and has none now does no
+    work (its results are already empty), beyond the [arb] trace event. *)
 val arbitrate : t -> num_queues:int -> base_rate_bps:float -> unit
 
 (** Cached result of the last [arbitrate] for [flow]: [(queue, rref)]. *)
 val cached : t -> flow:int -> (int * float) option
+
+(** {1 Entry handles}
+
+    A flow's entry in one arbitrator, for callers that refresh and read the
+    same entries every round without looking them up by flow id. A handle
+    stays live until its flow is removed, expired or cleared; after that
+    it reads as having no result, and {!enter} makes a new one. *)
+
+type entry
+
+(** A handle that was never live. *)
+val no_entry : entry
+
+(** [enter] is {!upsert}, returning the flow's entry. *)
+val enter : t -> flow:int -> criterion:float -> demand_bps:float -> now:float -> entry
+
+(** [refresh e] is {!upsert} through a live handle. *)
+val refresh : entry -> criterion:float -> demand_bps:float -> now:float -> unit
+
+val live : entry -> bool
+
+(** The entry's cached queue, or [-1] when it has no result (not live, or
+    entered since the last pass). *)
+val queue : entry -> int
+
+(** The entry's cached reference rate, or [infinity] when it has no
+    result. The sentinels are neutral for the [max] of queues and the
+    [min] of rates a flow combines over its arbitrators. *)
+val rref_bps : entry -> float
 
 (** Number of flows mapped to queues [< k] in the last [arbitrate] pass. *)
 val in_top_queues : t -> k:int -> int

@@ -1,5 +1,5 @@
 type contact = {
-  arbs : Arbitrator.t list;
+  arbs : Arbitrator.t array;
   msgs : int;  (* control messages this contact costs per round *)
   latency : float;  (* delay before the source can apply the response *)
 }
@@ -7,6 +7,13 @@ type contact = {
 type flow_state = {
   flow : Flow.t;
   contacts : contact array;
+  by_latency : int array;
+      (* contact indices in response order: by latency, equal latencies
+         later contact first *)
+  ents : Arbitrator.entry array array;
+      (* the flow's entry in each contact's arbitrators, refreshed and read
+         in place each round; a handle is live exactly while the flow is
+         registered with that arbitrator *)
   criterion : unit -> float;
   demand : unit -> float;
   apply : queue:int -> rref_bps:float -> unit;
@@ -24,18 +31,25 @@ type flow_state = {
          as it receives arbitration information from the child arbitrator") *)
 }
 
+(* A parent link whose capacity is delegated to per-ToR virtual links. *)
+type group = {
+  parent : int * int;
+  rate_bps : float;  (* the parent link's rate *)
+  mutable members : (int * Arbitrator.t) array;  (* (tor, arb), newest first *)
+}
+
 type t = {
   engine : Engine.t;
   counters : Counters.t;
   cfg : Config.t;
   topo : Topology.t;
   base_rate_bps : float;
-  real : (int * int, Arbitrator.t) Hashtbl.t;
-  virtuals : (int * int * int, Arbitrator.t) Hashtbl.t;
-      (* (parent_from, parent_to, delegate_tor) -> virtual arbitrator *)
-  virtual_groups : (int * int, (int * Arbitrator.t) list ref) Hashtbl.t;
-      (* parent link -> delegated children *)
-  flows : (int, flow_state) Hashtbl.t;
+  n_nodes : int;
+  all_arbs : Arbitrator.t Id_reg.t;
+      (* real and virtual arbitrators by [real_key] / [virtual_key] *)
+  groups : group Id_reg.t;  (* delegated parent links by [real_key] *)
+  mutable weights : float array;  (* rebalance scratch *)
+  flows : flow_state Id_reg.t;  (* registered flows by id *)
   rng : Rng.t;  (* drives control-plane loss injection only *)
   crashed : bool array;  (* per node: arbitration soft state dropped *)
   mutable ctrl_loss_override : float option;
@@ -50,6 +64,14 @@ type t = {
   mutable tick_timer : Engine.timer option;  (* the arb-round loop *)
 }
 
+(* Registry keys. Real arbitrators key on (a, b) and virtual ones on
+   (a, b, tor), both lexicographically, and every virtual key exceeds every
+   real one. Phase B walks the registry backwards: virtuals, then reals,
+   each in descending key order. That order fixes the order of the
+   arbitrators' trace events. *)
+let real_key t a b = (a * t.n_nodes) + b
+let virtual_key t a b tor = (t.n_nodes * t.n_nodes) + (real_key t a b * t.n_nodes) + tor
+
 let node_levels (topo : Topology.t) =
   let n = Net.node_count topo.Topology.net in
   let lv = Array.make n 0 in
@@ -59,6 +81,25 @@ let node_levels (topo : Topology.t) =
   Array.iter (fun s -> lv.(s) <- 3) topo.Topology.cores;
   lv
 
+let dummy_flow =
+  {
+    flow = Flow.make ~id:(-1) ~src:0 ~dst:0 ~size_pkts:1 ~start_time:0. ();
+    contacts = [||];
+    by_latency = [||];
+    ents = [||];
+    criterion = (fun () -> 0.);
+    demand = (fun () -> 0.);
+    apply = (fun ~queue:_ ~rref_bps:_ -> ());
+    unreachable = None;
+    last_queue = 0;
+    contacted = [||];
+    pruned = false;
+    remote_tried = false;
+    remote_heard = false;
+    is_unreachable = false;
+    first_round = false;
+  }
+
 let create engine counters cfg topo ~base_rate_bps =
   {
     engine;
@@ -66,10 +107,11 @@ let create engine counters cfg topo ~base_rate_bps =
     cfg;
     topo;
     base_rate_bps;
-    real = Hashtbl.create 64;
-    virtuals = Hashtbl.create 16;
-    virtual_groups = Hashtbl.create 8;
-    flows = Hashtbl.create 256;
+    n_nodes = Net.node_count topo.Topology.net;
+    all_arbs = Id_reg.create ~dummy:(Arbitrator.create ~capacity_bps:1. ()) ();
+    groups = Id_reg.create ~dummy:{ parent = (-1, -1); rate_bps = 0.; members = [||] } ();
+    weights = [||];
+    flows = Id_reg.create ~dummy:dummy_flow ();
     rng = Rng.create 0x9a5e;
     crashed = Array.make (Net.node_count topo.Topology.net) false;
     ctrl_loss_override = None;
@@ -86,93 +128,94 @@ let create engine counters cfg topo ~base_rate_bps =
 let overbook = 1.6
 
 let rounds t = t.rounds
-let arbitrator_count t = Hashtbl.length t.real + Hashtbl.length t.virtuals
+let arbitrator_count t = Id_reg.length t.all_arbs
+
+let find_arb t key =
+  let i = Id_reg.index t.all_arbs key in
+  if i < 0 then None else Some (Id_reg.get t.all_arbs i)
+
+let link_rate t a b ~what =
+  match Net.link_from t.topo.Topology.net a b with
+  | Some l -> Link.rate_bps l
+  | None -> invalid_arg ("Hierarchy: no such " ^ what)
 
 let real_arb t a b =
-  match Hashtbl.find_opt t.real (a, b) with
+  let key = real_key t a b in
+  match find_arb t key with
   | Some arb -> arb
   | None ->
-      let link =
-        match Net.link_from t.topo.Topology.net a b with
-        | Some l -> l
-        | None -> invalid_arg "Hierarchy: no such link"
-      in
       let arb =
         Arbitrator.create ~link:(a, b) ~owner:a
-          ~capacity_bps:(Link.rate_bps link) ()
+          ~capacity_bps:(link_rate t a b ~what:"link") ()
       in
-      Hashtbl.replace t.real (a, b) arb;
+      Id_reg.add t.all_arbs key arb;
       arb
 
-let arbitrator_of_link t a b = Hashtbl.find_opt t.real (a, b)
+let arbitrator_of_link t a b = find_arb t (real_key t a b)
 
 (* Virtual link: the slice of parent link (a, b) delegated to [tor]'s
    arbitrator. Created with an equal share of the parent capacity. *)
 let virtual_arb t (a, b) tor =
-  match Hashtbl.find_opt t.virtuals (a, b, tor) with
+  let key = virtual_key t a b tor in
+  match find_arb t key with
   | Some arb -> arb
   | None ->
-      let link =
-        match Net.link_from t.topo.Topology.net a b with
-        | Some l -> l
-        | None -> invalid_arg "Hierarchy: no such parent link"
-      in
+      let gkey = real_key t a b in
       let group =
-        match Hashtbl.find_opt t.virtual_groups (a, b) with
-        | Some g -> g
-        | None ->
-            let g = ref [] in
-            Hashtbl.replace t.virtual_groups (a, b) g;
+        match Id_reg.index t.groups gkey with
+        | i when i >= 0 -> Id_reg.get t.groups i
+        | _ ->
+            let g =
+              { parent = (a, b); rate_bps = link_rate t a b ~what:"parent link"; members = [||] }
+            in
+            Id_reg.add t.groups gkey g;
             g
       in
-      let members = 1 + List.length !group in
+      let members = 1 + Array.length group.members in
       let arb =
         Arbitrator.create ~link:(a, b) ~owner:tor
           ~capacity_bps:
-            (Float.min (Link.rate_bps link)
-               (Link.rate_bps link /. float_of_int members *. overbook))
+            (Float.min group.rate_bps
+               (group.rate_bps /. float_of_int members *. overbook))
           ()
       in
-      Hashtbl.replace t.virtuals (a, b, tor) arb;
-      group := (tor, arb) :: !group;
+      Id_reg.add t.all_arbs key arb;
+      group.members <- Array.append [| (tor, arb) |] group.members;
       arb
 
 (* Rebalance delegated capacities: each child's share is proportional to
    the aggregate demand it currently sees, so children carrying
    high-priority traffic get more of the parent link (§3.1.2). *)
 let rebalance t =
-  Det_tbl.iter
-    (fun (a, b) group ->
-      let link =
-        match Net.link_from t.topo.Topology.net a b with
-        | Some l -> l
-        | None -> assert false
-      in
-      let weights =
-        List.map (fun (_, arb) -> 1e6 +. Arbitrator.total_demand arb) !group
-      in
-      let total = List.fold_left ( +. ) 0. weights in
-      let members = float_of_int (List.length !group) in
-      if total > 0. then
-        List.iter2
-          (fun (tor, arb) w ->
-            (* Virtual links overbook: reference rates are not binding and
-               the self-adjusting endpoints absorb transient over-admission
-               (§2.2), so a burst at one child need not wait for the next
-               rebalance. Every child also keeps at least its equal share -
-               demand weighting only grants extra, so a quiet child is never
-               starved by a heavy sibling. *)
-            let frac = Float.max (1. /. members) (w /. total) in
-            let share = Link.rate_bps link *. frac *. overbook in
-            let share = Float.min (Link.rate_bps link) share in
-            Arbitrator.set_capacity arb share;
-            if Trace.on () then
-              Trace.emit
-                (Trace.Delegate { parent = (a, b); tor; share_bps = share });
-            (* Aggregate report from child to parent and response. *)
-            t.counters.Counters.ctrl_msgs <- t.counters.Counters.ctrl_msgs + 2)
-          !group weights)
-    t.virtual_groups
+  for gi = 0 to Id_reg.length t.groups - 1 do
+    let g = Id_reg.get t.groups gi in
+    let n = Array.length g.members in
+    if Array.length t.weights < n then t.weights <- Array.make (2 * n) 0.;
+    let total = ref 0. in
+    for j = 0 to n - 1 do
+      let w = 1e6 +. Arbitrator.total_demand (snd g.members.(j)) in
+      t.weights.(j) <- w;
+      total := !total +. w
+    done;
+    if !total > 0. then
+      for j = 0 to n - 1 do
+        let tor, arb = g.members.(j) in
+        (* Virtual links overbook: reference rates are not binding and the
+           self-adjusting endpoints absorb transient over-admission (§2.2),
+           so a burst at one child need not wait for the next rebalance.
+           Every child also keeps at least its equal share - demand
+           weighting only grants extra, so a quiet child is never starved
+           by a heavy sibling. *)
+        let frac = Float.max (1. /. float_of_int n) (t.weights.(j) /. !total) in
+        let share = g.rate_bps *. frac *. overbook in
+        let share = Float.min g.rate_bps share in
+        Arbitrator.set_capacity arb share;
+        if Trace.on () then
+          Trace.emit (Trace.Delegate { parent = g.parent; tor; share_bps = share });
+        (* Aggregate report from child to parent and response. *)
+        t.counters.Counters.ctrl_msgs <- t.counters.Counters.ctrl_msgs + 2
+      done
+  done
 
 (* Build the ordered contact list for a path. See the .mli for the cost
    model. The list runs: source-local, source half ascending, then
@@ -219,27 +262,24 @@ let build_contacts t ~(flow : Flow.t) =
     end
   done;
   (* Merge same-height contacts (e.g. a delegated virtual link rides the
-     ToR contact for free). *)
+     ToR contact for free), then order by latency; equal latencies (zero
+     link delay) keep descending height. *)
   let merge side ~extra_latency =
-    let tbl = Hashtbl.create 4 in
-    List.iter
-      (fun (h, arb) ->
-        let cur = try Hashtbl.find tbl h with Not_found -> [] in
-        Hashtbl.replace tbl h (arb :: cur))
-      side;
-    Det_tbl.fold
-      (fun h arbs acc ->
+    let heights = List.rev (List.sort_uniq Int.compare (List.map fst side)) in
+    List.map
+      (fun h ->
         {
-          arbs;
+          arbs =
+            Array.of_list
+              (List.rev (List.filter_map (fun (h', a) -> if h' = h then Some a else None) side));
           msgs = 2;
           latency = extra_latency +. (2. *. float_of_int h *. delay) +. proc;
-        }
-        :: acc)
-      tbl []
-    |> List.sort (fun a b -> compare a.latency b.latency)
+        })
+      heights
+    |> List.stable_sort (fun a b -> Float.compare a.latency b.latency)
   in
   let local arbs ~latency =
-    match arbs with [] -> [] | l -> [ { arbs = l; msgs = 0; latency } ]
+    match arbs with [] -> [] | l -> [ { arbs = Array.of_list l; msgs = 0; latency } ]
   in
   let contacts =
     local !src_local ~latency:proc
@@ -253,11 +293,16 @@ let build_contacts t ~(flow : Flow.t) =
   in
   Array.of_list contacts
 
-let all_arbitrators t =
-  let acc = ref [] in
-  Det_tbl.iter (fun _ a -> acc := a :: !acc) t.real;
-  Det_tbl.iter (fun _ a -> acc := a :: !acc) t.virtuals;
-  !acc
+(* Response order: by latency, equal latencies later contact first. *)
+let latency_order contacts =
+  let idx = Array.init (Array.length contacts) Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      match Float.compare contacts.(i).latency contacts.(j).latency with
+      | 0 -> Int.compare j i
+      | c -> c)
+    idx;
+  idx
 
 (* ---- fault plane hooks -------------------------------------------------- *)
 
@@ -272,12 +317,10 @@ let arb_alive t arb =
 let fail_node t node =
   if node >= 0 && node < Array.length t.crashed && not t.crashed.(node) then begin
     t.crashed.(node) <- true;
-    Det_tbl.iter
-      (fun (a, _) arb -> if a = node then Arbitrator.clear arb)
-      t.real;
-    Det_tbl.iter
-      (fun (_, _, tor) arb -> if tor = node then Arbitrator.clear arb)
-      t.virtuals
+    for i = 0 to Id_reg.length t.all_arbs - 1 do
+      let arb = Id_reg.get t.all_arbs i in
+      if Arbitrator.owner arb = node then Arbitrator.clear arb
+    done
   end
 
 let recover_node t node =
@@ -300,183 +343,173 @@ let ctrl_loss_prob t =
   | Some p -> p
   | None -> t.cfg.Config.ctrl_loss_prob
 
+(* Phase A for one flow: refresh arbitrator state along its contact chain.
+   Pruning decisions use the previous round's queue assignments, matching
+   the one-round information lag of real messages. Loops, not iterators:
+   a capturing closure would be allocated per flow per round. *)
+let refresh t fs ~now =
+  let criterion = fs.criterion () in
+  let demand = fs.demand () in
+  let flow = fs.flow.Flow.id in
+  fs.pruned <- false;
+  fs.remote_tried <- false;
+  fs.remote_heard <- false;
+  let q_acc = ref 0 in
+  for i = 0 to Array.length fs.contacts - 1 do
+    let ct = fs.contacts.(i) in
+    let arbs = ct.arbs and ents = fs.ents.(i) in
+    if t.cfg.Config.early_pruning && !q_acc >= t.cfg.Config.prune_top_k then begin
+      fs.contacted.(i) <- false;
+      fs.pruned <- true;
+      (* Stop holding state upstream: emulate soft-state expiry. *)
+      for j = 0 to Array.length arbs - 1 do
+        if Arbitrator.live ents.(j) then Arbitrator.remove arbs.(j) ~flow
+      done
+    end
+    else begin
+      t.counters.Counters.ctrl_msgs <- t.counters.Counters.ctrl_msgs + ct.msgs;
+      if ct.msgs > 0 && Trace.on () then
+        Trace.emit (Trace.Ctrl { flow; msgs = ct.msgs });
+      if ct.msgs > 0 then fs.remote_tried <- true;
+      let any_live = ref false in
+      for j = 0 to Array.length arbs - 1 do
+        if arb_alive t arbs.(j) then any_live := true
+      done;
+      if not !any_live then begin
+        (* Every arbitrator behind this contact is crashed: the request is
+           sent but never answered. Previously established soft state was
+           dropped with the crash. *)
+        fs.contacted.(i) <- false;
+        if ct.msgs > 0 then
+          t.counters.Counters.ctrl_lost <- t.counters.Counters.ctrl_lost + ct.msgs
+      end
+      else begin
+        (* Failure injection: a lost request or response simply means this
+           contact contributes nothing this round; the soft state it
+           previously established survives until expiry. *)
+        let p = ctrl_loss_prob t in
+        if ct.msgs > 0 && p > 0. && Rng.float t.rng 1.0 < p then begin
+          fs.contacted.(i) <- false;
+          t.counters.Counters.ctrl_lost <- t.counters.Counters.ctrl_lost + ct.msgs
+        end
+        else begin
+          fs.contacted.(i) <- true;
+          if ct.msgs > 0 then fs.remote_heard <- true;
+          for j = 0 to Array.length arbs - 1 do
+            let arb = arbs.(j) in
+            if arb_alive t arb then begin
+              let e = ents.(j) in
+              if Arbitrator.live e then
+                Arbitrator.refresh e ~criterion ~demand_bps:demand ~now
+              else
+                ents.(j) <- Arbitrator.enter arb ~flow ~criterion ~demand_bps:demand ~now;
+              q_acc := Int.max !q_acc (Arbitrator.queue ents.(j))
+            end
+          done
+        end
+      end
+    end
+  done;
+  (* Remote arbitration reachability: a flow that tried remote contacts and
+     heard from none falls back to unguided (DCTCP) rate control until a
+     response gets through again. *)
+  let unreach = fs.remote_tried && not fs.remote_heard in
+  if unreach <> fs.is_unreachable then begin
+    fs.is_unreachable <- unreach;
+    match fs.unreachable with Some cb -> cb unreach | None -> ()
+  end
+
+let schedule_apply t ~flow ~delay ~queue ~rref ~final =
+  let rref = if rref = infinity then t.base_rate_bps else rref in
+  Engine.schedule ~label:"arb-apply" t.engine ~delay (fun () ->
+      let i = Id_reg.index t.flows flow in
+      if i >= 0 then begin
+        let fs = Id_reg.get t.flows i in
+        if final then fs.last_queue <- queue;
+        fs.apply ~queue ~rref_bps:rref
+      end)
+
+(* A pruned flow has no fresh upstream info: it keeps (at least) its
+   previous queue. Fully-arbitrated flows take the fresh decision, so they
+   can be promoted when higher-priority flows drain. *)
+let finalize t fs q =
+  let q = if fs.pruned then Int.max q fs.last_queue else q in
+  Int.min q (t.cfg.Config.num_queues - 1)
+
+(* Phase C for one flow: combine the decisions of the contacts that
+   answered — the lowest queue and the smallest reference rate among their
+   arbitrators — and deliver them after control latency, in response
+   order. A new flow applies each cumulative decision as its response
+   arrives; later rounds apply once, at the farthest contact's latency. *)
+let deliver t fs =
+  let flow = fs.flow.Flow.id in
+  let order = fs.by_latency in
+  let last = ref (-1) in
+  for k = 0 to Array.length order - 1 do
+    if fs.contacted.(order.(k)) then last := k
+  done;
+  if !last >= 0 then begin
+    (* Progressive refinement: only the last response is sticky. *)
+    let progressive = fs.first_round in
+    fs.first_round <- false;
+    let cq = ref 0 and cr = ref infinity and lat = ref 0. in
+    for k = 0 to !last do
+      let i = order.(k) in
+      if fs.contacted.(i) then begin
+        let ct = fs.contacts.(i) and ents = fs.ents.(i) in
+        for j = 0 to Array.length ents - 1 do
+          cq := Int.max !cq (Arbitrator.queue ents.(j));
+          cr := Float.min !cr (Arbitrator.rref_bps ents.(j))
+        done;
+        lat := Float.max !lat ct.latency;
+        if progressive then
+          schedule_apply t ~flow ~delay:ct.latency ~queue:(finalize t fs !cq)
+            ~rref:!cr ~final:(k = !last)
+      end
+    done;
+    if not progressive then
+      schedule_apply t ~flow ~delay:!lat ~queue:(finalize t fs !cq) ~rref:!cr
+        ~final:true
+  end
+
 (* One arbitration round: refresh (phase A), re-arbitrate (phase B), combine
-   and deliver (phase C). Pruning decisions use the previous round's queue
-   assignments, matching the one-round information lag of real messages. *)
+   and deliver (phase C). Phases A and C walk flows in id order: that fixes
+   the RNG draw sequence for control-loss injection, the ctrl_msgs
+   accounting order and, since apply callbacks are scheduled in phase C,
+   the engine's FIFO tie-break for same-time events. *)
 let round t =
   t.rounds <- t.rounds + 1;
   let now = Engine.now t.engine in
-  (* Phase A: refresh arbitrator state along each flow's contact chain.
-     Sorted traversal: flow-id order fixes the RNG draw sequence for
-     control-loss injection and the ctrl_msgs accounting order. *)
-  Det_tbl.iter
-    (fun _ fs ->
-      let criterion = fs.criterion () in
-      let demand = fs.demand () in
-      fs.pruned <- false;
-      fs.remote_tried <- false;
-      fs.remote_heard <- false;
-      let q_acc = ref 0 in
-      Array.iteri
-        (fun i ct ->
-          let pruned =
-            t.cfg.Config.early_pruning && !q_acc >= t.cfg.Config.prune_top_k
-          in
-          if pruned then begin
-            fs.contacted.(i) <- false;
-            fs.pruned <- true;
-            (* Stop holding state upstream: emulate soft-state expiry. *)
-            List.iter
-              (fun arb ->
-                if Arbitrator.mem arb ~flow:fs.flow.Flow.id then
-                  Arbitrator.remove arb ~flow:fs.flow.Flow.id)
-              ct.arbs
-          end
-          else begin
-            t.counters.Counters.ctrl_msgs <-
-              t.counters.Counters.ctrl_msgs + ct.msgs;
-            if ct.msgs > 0 && Trace.on () then
-              Trace.emit
-                (Trace.Ctrl { flow = fs.flow.Flow.id; msgs = ct.msgs });
-            if ct.msgs > 0 then fs.remote_tried <- true;
-            let live = List.filter (arb_alive t) ct.arbs in
-            if live = [] then begin
-              (* Every arbitrator behind this contact is crashed: the
-                 request is sent but never answered. Previously established
-                 soft state was dropped with the crash. *)
-              fs.contacted.(i) <- false;
-              if ct.msgs > 0 then
-                t.counters.Counters.ctrl_lost <-
-                  t.counters.Counters.ctrl_lost + ct.msgs
-            end
-            else begin
-              (* Failure injection: a lost request or response simply means
-                 this contact contributes nothing this round; the soft state
-                 it previously established survives until expiry. *)
-              let p = ctrl_loss_prob t in
-              let lost = ct.msgs > 0 && p > 0. && Rng.float t.rng 1.0 < p in
-              if lost then begin
-                fs.contacted.(i) <- false;
-                t.counters.Counters.ctrl_lost <-
-                  t.counters.Counters.ctrl_lost + ct.msgs
-              end
-              else begin
-                fs.contacted.(i) <- true;
-                if ct.msgs > 0 then fs.remote_heard <- true;
-                List.iter
-                  (fun arb ->
-                    Arbitrator.upsert arb ~flow:fs.flow.Flow.id ~criterion
-                      ~demand_bps:demand ~now;
-                    match Arbitrator.cached arb ~flow:fs.flow.Flow.id with
-                    | Some (q, _) -> q_acc := max !q_acc q
-                    | None -> ())
-                  live
-              end
-            end
-          end)
-        fs.contacts;
-      (* Remote arbitration reachability: a flow that tried remote contacts
-         and heard from none falls back to unguided (DCTCP) rate control
-         until a response gets through again. *)
-      let unreach = fs.remote_tried && not fs.remote_heard in
-      if unreach <> fs.is_unreachable then begin
-        fs.is_unreachable <- unreach;
-        match fs.unreachable with Some cb -> cb unreach | None -> ()
-      end)
-    t.flows;
+  for i = 0 to Id_reg.length t.flows - 1 do
+    refresh t (Id_reg.get t.flows i) ~now
+  done;
   (* Phase B: expire soft state that stopped being refreshed, then every
      arbitrator re-runs Algorithm 1 over its flow set. *)
   let max_age =
     float_of_int t.cfg.Config.state_expiry_rounds *. t.cfg.Config.arb_period
   in
-  List.iter
-    (fun arb ->
-      if arb_alive t arb then begin
-        Arbitrator.expire arb ~now ~max_age;
-        Arbitrator.arbitrate arb ~num_queues:t.cfg.Config.num_queues
-          ~base_rate_bps:t.base_rate_bps
-      end)
-    (all_arbitrators t);
+  for i = Id_reg.length t.all_arbs - 1 downto 0 do
+    let arb = Id_reg.get t.all_arbs i in
+    if arb_alive t arb then begin
+      Arbitrator.expire arb ~now ~max_age;
+      Arbitrator.arbitrate arb ~num_queues:t.cfg.Config.num_queues
+        ~base_rate_bps:t.base_rate_bps
+    end
+  done;
   (* Recovery metric: first round after the (first) restart in which the
      restarted node serves an allocation again. *)
-  (if t.restarted_node >= 0 && Float.is_nan t.first_grant_s then
-     let regranted =
-       List.exists
-         (fun arb ->
-           Arbitrator.owner arb = t.restarted_node
-           && Arbitrator.allocations arb > 0)
-         (all_arbitrators t)
-     in
-     if regranted then t.first_grant_s <- now -. t.last_restart);
-  (* Phase C: combine per-link decisions and deliver after control latency.
-     Sorted traversal: apply callbacks are scheduled here, so flow-id order
-     fixes the engine's FIFO tie-break for same-time events. *)
-  Det_tbl.iter
-    (fun _ fs ->
-      (* A pruned flow has no fresh upstream info: it keeps (at least) its
-         previous queue. Fully-arbitrated flows take the fresh decision, so
-         they can be promoted when higher-priority flows drain. *)
-      let finalize q =
-        let q = if fs.pruned then max q fs.last_queue else q in
-        min q (t.cfg.Config.num_queues - 1)
-      in
-      let flow_id = fs.flow.Flow.id in
-      (* Collect per-contact results ordered by response latency. *)
-      let responses =
-        let acc = ref [] in
-        Array.iteri
-          (fun i ct ->
-            if fs.contacted.(i) then begin
-              let cq = ref 0 and cr = ref infinity in
-              List.iter
-                (fun arb ->
-                  match Arbitrator.cached arb ~flow:fs.flow.Flow.id with
-                  | Some (ql, rl) ->
-                      cq := max !cq ql;
-                      cr := Float.min !cr rl
-                  | None -> ())
-                ct.arbs;
-              acc := (ct.latency, !cq, !cr) :: !acc
-            end)
-          fs.contacts;
-        List.sort (fun (a, _, _) (b, _, _) -> compare a b) !acc
-      in
-      let schedule_apply ~delay ~queue ~rref ~final =
-        let rref = if rref = infinity then t.base_rate_bps else rref in
-        Engine.schedule ~label:"arb-apply" t.engine ~delay (fun () ->
-            match Hashtbl.find_opt t.flows flow_id with
-            | Some fs ->
-                if final then fs.last_queue <- queue;
-                fs.apply ~queue ~rref_bps:rref
-            | None -> ())
-      in
-      (match responses with
-      | [] -> ()
-      | _ ->
-          let n = List.length responses in
-          if fs.first_round then begin
-            (* Progressive refinement: apply the cumulative decision as each
-               response arrives; only the last one is sticky. *)
-            fs.first_round <- false;
-            let cq = ref 0 and cr = ref infinity in
-            List.iteri
-              (fun i (lat, q, r) ->
-                cq := max !cq q;
-                cr := Float.min !cr r;
-                let final = i = n - 1 in
-                schedule_apply ~delay:lat ~queue:(finalize !cq) ~rref:!cr ~final)
-              responses
-          end
-          else begin
-            let lat, cq, cr =
-              List.fold_left
-                (fun (lat, cq, cr) (l, q, r) ->
-                  (Float.max lat l, Stdlib.max cq q, Float.min cr r))
-                (0., 0, infinity) responses
-            in
-            schedule_apply ~delay:lat ~queue:(finalize cq) ~rref:cr ~final:true
-          end))
-    t.flows
+  if t.restarted_node >= 0 && Float.is_nan t.first_grant_s then begin
+    let regranted = ref false in
+    for i = 0 to Id_reg.length t.all_arbs - 1 do
+      let arb = Id_reg.get t.all_arbs i in
+      if Arbitrator.owner arb = t.restarted_node && Arbitrator.allocations arb > 0
+      then regranted := true
+    done;
+    if !regranted then t.first_grant_s <- now -. t.last_restart
+  end;
+  for i = 0 to Id_reg.length t.flows - 1 do
+    deliver t (Id_reg.get t.flows i)
+  done
 
 (* The arbitration round loop rides one reschedulable engine timer instead
    of allocating a closure per period; the rebalance deadline lives on [t]
@@ -515,6 +548,8 @@ let add_flow t ~flow ~criterion ~demand ?unreachable ~apply () =
     {
       flow;
       contacts;
+      by_latency = latency_order contacts;
+      ents = Array.map (fun ct -> Array.map (fun _ -> Arbitrator.no_entry) ct.arbs) contacts;
       criterion;
       demand;
       apply;
@@ -528,36 +563,37 @@ let add_flow t ~flow ~criterion ~demand ?unreachable ~apply () =
       first_round = true;
     }
   in
-  Hashtbl.replace t.flows flow.Flow.id fs;
+  Id_reg.add t.flows flow.Flow.id fs;
   (* Immediate local decision so the flow starts without waiting (§3.1.2):
      consult only the source-local contact synchronously. *)
-  (match Array.length contacts with
+  match Array.length contacts with
   | 0 -> apply ~queue:0 ~rref_bps:t.base_rate_bps
   | _ ->
-      let ct = contacts.(0) in
       let now = Engine.now t.engine in
       let q = ref 0 and rref = ref infinity in
-      List.iter
-        (fun arb ->
-          Arbitrator.upsert arb ~flow:flow.Flow.id ~criterion:(criterion ())
-            ~demand_bps:(demand ()) ~now;
-          Arbitrator.arbitrate arb ~num_queues:t.cfg.Config.num_queues
-            ~base_rate_bps:t.base_rate_bps;
-          match Arbitrator.cached arb ~flow:flow.Flow.id with
-          | Some (ql, rl) ->
-              q := max !q ql;
-              rref := Float.min !rref rl
-          | None -> ())
-        (List.filter (arb_alive t) ct.arbs);
+      Array.iteri
+        (fun j arb ->
+          if arb_alive t arb then begin
+            let e =
+              Arbitrator.enter arb ~flow:flow.Flow.id ~criterion:(criterion ())
+                ~demand_bps:(demand ()) ~now
+            in
+            fs.ents.(0).(j) <- e;
+            Arbitrator.arbitrate arb ~num_queues:t.cfg.Config.num_queues
+              ~base_rate_bps:t.base_rate_bps;
+            q := Int.max !q (Arbitrator.queue e);
+            rref := Float.min !rref (Arbitrator.rref_bps e)
+          end)
+        contacts.(0).arbs;
       fs.last_queue <- !q;
       let rref = if !rref = infinity then t.base_rate_bps else !rref in
-      apply ~queue:!q ~rref_bps:rref)
+      apply ~queue:!q ~rref_bps:rref
 
 let remove_flow t ~flow_id =
-  match Hashtbl.find_opt t.flows flow_id with
-  | None -> ()
-  | Some fs ->
-      Array.iter
-        (fun ct -> List.iter (fun arb -> Arbitrator.remove arb ~flow:flow_id) ct.arbs)
-        fs.contacts;
-      Hashtbl.remove t.flows flow_id
+  let i = Id_reg.index t.flows flow_id in
+  if i >= 0 then begin
+    Array.iter
+      (fun ct -> Array.iter (fun arb -> Arbitrator.remove arb ~flow:flow_id) ct.arbs)
+      (Id_reg.get t.flows i).contacts;
+    Id_reg.remove_at t.flows i
+  end

@@ -175,6 +175,12 @@ let compact t ~keep =
       sift_down t ~len ~time:t.times.(i) ~seq:t.seqs.(i) t.slots.(i) i
     done
 
+let clear t =
+  for r = 0 to t.len - 1 do
+    release t t.slots.(r)
+  done;
+  t.len <- 0
+
 let size t = t.len
 let is_empty t = t.len = 0
 let capacity t = Array.length t.times

@@ -47,6 +47,10 @@ val peek_time : 'a t -> float option
     2x the live size, releasing the high-water-mark footprint. *)
 val compact : 'a t -> keep:(seq:int -> 'a -> bool) -> unit
 
+(** [clear t] removes every element, keeping the backing arrays' capacity
+    for reuse. *)
+val clear : 'a t -> unit
+
 val size : 'a t -> int
 val is_empty : 'a t -> bool
 

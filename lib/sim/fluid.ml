@@ -1,29 +1,31 @@
 (* Max-min fair fluid tier. See the .mli for the model; here the load-bearing
-   details are determinism (sorted traversal everywhere a float sum or a
+   details are determinism (id-ordered traversal everywhere a float sum or a
    callback order could leak) and zero allocation churn on the steady path
-   (per-link scratch lives inside the entry records, reused each pass). *)
+   (the water-fill and the id-ordered flow registry reuse their arrays). *)
 
 type entry = {
+  idx : int;  (* dense link number, the water-fill's view of the link *)
   key : int * int;  (* directed (from, to) *)
   link : Link.t;
   mutable n_fluid : int;
   mutable n_pkt : int;
-  (* water-filling scratch, valid only during one allocation pass *)
-  mutable rem : float;  (* unallocated fluid capacity, bps *)
-  mutable cnt : int;  (* unfrozen fluid flows crossing *)
-  mutable bott : bool;  (* member of the current bottleneck set *)
-  mutable bott_any : bool;  (* froze some flow this pass: holds a standing queue *)
-  mutable fluid_bps : float;  (* summed allocation, pushed to the link *)
-  mutable stale : bool;  (* had a nonzero push that must be reset *)
+  mutable pushed : bool;  (* the link holds a nonzero push from a pass *)
+}
+
+(* An all-float record is stored flat: settling and reallocating a flow
+   writes unboxed floats, with no allocation and no write barrier. *)
+type fstate = {
+  mutable remaining : float;  (* bytes; [infinity] = long-lived *)
+  mutable rate : float;  (* bps, last allocation *)
+  mutable last : float;  (* sim time [remaining] was settled at *)
 }
 
 type fflow = {
   id : int;
   path : entry array;
-  mutable remaining : float;  (* bytes; [infinity] = long-lived *)
-  mutable rate : float;  (* bps, last allocation *)
-  mutable last : float;  (* sim time [remaining] was settled at *)
-  mutable frozen : bool;  (* water-filling scratch *)
+  links : int array;  (* [path] as dense link numbers *)
+  st : fstate;
+  mutable live : bool;  (* still in the fluid tier *)
   on_demote : remaining_bytes:float -> rate_bps:float -> unit;
 }
 
@@ -50,8 +52,14 @@ type t = {
          control re-converges over RTTs, so an RTT-scale floor trades no
          modelled fidelity and keeps allocation cost independent of the
          churn rate. 0 = recompute at every control event. *)
-  flows : (int, fflow) Hashtbl.t;
+  flows : fflow Id_reg.t;  (* live flows by id *)
   entries : (int * int, entry) Hashtbl.t;
+  mutable links : entry array;  (* by [idx] *)
+  mutable n_links : int;
+  wf : Water_fill.t;
+  mutable caps : float array;  (* per-pass inputs of [wf] *)
+  mutable paths : int array array;
+  mutable due : fflow array;  (* demotion scratch *)
   pkt_paths : (int, entry array) Hashtbl.t;
   boundaries : fflow Eheap.t;
       (* per-flow demotion times under the current allocation; rebuilt at
@@ -63,7 +71,6 @@ type t = {
   mutable last_alloc : float;  (* sim time of the last water-filling pass *)
   mutable recompute_tm : Engine.timer option;
   mutable boundary_tm : Engine.timer option;
-  mutable pushed : entry list;  (* entries whose link holds a nonzero push *)
   mutable admitted : int;
   mutable demotions : int;
   mutable fault_demotions : int;
@@ -71,25 +78,35 @@ type t = {
   mutable bytes_advanced : float;
 }
 
-let key_cmp (a1, b1) (a2, b2) =
-  match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c
+let dummy_fflow =
+  {
+    id = -1;
+    path = [||];
+    links = [||];
+    st = { remaining = 0.; rate = 0.; last = 0. };
+    live = false;
+    on_demote = (fun ~remaining_bytes:_ ~rate_bps:_ -> ());
+  }
 
 (* Demote when remaining <= boundary + slack: the boundary timer inverts
    remaining = rate * dt / 8, so settling at its firing time can land a few
    ulps to either side of the boundary. Half a byte absorbs that without
    ever being observable at packet granularity. *)
-let due t f = f.remaining <= t.demote_bytes +. 0.5
+let due t f = f.st.remaining <= t.demote_bytes +. 0.5
 
 let settle_flow t f now =
-  if f.rate > 0. && now > f.last then begin
-    let adv = f.rate *. (now -. f.last) /. 8. in
+  if f.st.rate > 0. && now > f.st.last then begin
+    let adv = f.st.rate *. (now -. f.st.last) /. 8. in
     t.bytes_advanced <- t.bytes_advanced +. adv;
-    if f.remaining < infinity then
-      f.remaining <- Float.max 0. (f.remaining -. adv)
+    if f.st.remaining < infinity then
+      f.st.remaining <- Float.max 0. (f.st.remaining -. adv)
   end;
-  f.last <- now
+  f.st.last <- now
 
-let settle_all t now = Det_tbl.iter (fun _ f -> settle_flow t f now) t.flows
+let settle_all t now =
+  for i = 0 to Id_reg.length t.flows - 1 do
+    settle_flow t (Id_reg.get t.flows i) now
+  done
 
 let mark_dirty t =
   if not t.dirty then begin
@@ -103,133 +120,89 @@ let mark_dirty t =
   end
 
 let demote t f ~fault =
-  Hashtbl.remove t.flows f.id;
+  Id_reg.remove t.flows f.id;
+  f.live <- false;
   Array.iter (fun e -> e.n_fluid <- e.n_fluid - 1) f.path;
   t.demotions <- t.demotions + 1;
   if fault then t.fault_demotions <- t.fault_demotions + 1;
-  f.on_demote ~remaining_bytes:f.remaining ~rate_bps:f.rate
+  f.on_demote ~remaining_bytes:f.st.remaining ~rate_bps:f.st.rate
 
+(* Collect first, then demote in id order: a demotion's callback may
+   re-enter the tier. *)
 let demote_due t =
-  let hit =
-    List.rev
-      (Det_tbl.fold (fun _ f acc -> if due t f then f :: acc else acc) t.flows [])
-  in
-  List.iter (fun f -> demote t f ~fault:false) hit
-
-(* One water-filling pass over the live flows: repeatedly find the tightest
-   link (smallest equal share among its unfrozen flows), freeze every
-   unfrozen flow crossing a tightest link at that share, subtract, repeat.
-   Bottleneck membership is snapshotted per iteration so the in-place
-   subtraction cannot skew which flows freeze this round. *)
-let allocate t =
-  let fls = List.rev (Det_tbl.fold (fun _ f acc -> f :: acc) t.flows []) in
-  List.iter
-    (fun f ->
-      f.frozen <- false;
-      f.rate <- 0.)
-    fls;
-  let parts =
-    List.rev
-      (Det_tbl.fold ~cmp:key_cmp
-         (fun _ e acc ->
-           if e.n_fluid > 0 then begin
-             let share =
-               float_of_int e.n_fluid /. float_of_int (e.n_fluid + e.n_pkt)
-             in
-             e.rem <-
-               (if Link.is_up e.link then Link.rate_bps e.link *. share else 0.);
-             e.cnt <- e.n_fluid;
-             e.bott <- false;
-             e.bott_any <- false;
-             e.fluid_bps <- 0.;
-             e :: acc
-           end
-           else acc)
-         t.entries [])
-  in
-  let unfrozen = ref (List.length fls) in
-  while !unfrozen > 0 do
-    let s =
-      List.fold_left
-        (fun acc e ->
-          if e.cnt > 0 then Float.min acc (e.rem /. float_of_int e.cnt) else acc)
-        infinity parts
-    in
-    if s = infinity then begin
-      (* No constraining link (unreachable: every flow crosses links that
-         count it). Freeze everything at zero to guarantee termination. *)
-      List.iter (fun f -> f.frozen <- true) fls;
-      unfrozen := 0
-    end
-    else begin
-      let s = Float.max 0. s in
-      List.iter
-        (fun e ->
-          if e.cnt > 0 && e.rem /. float_of_int e.cnt = s then begin
-            e.bott <- true;
-            e.bott_any <- true
-          end)
-        parts;
-      List.iter
-        (fun f ->
-          if (not f.frozen) && Array.exists (fun e -> e.bott) f.path then begin
-            f.frozen <- true;
-            f.rate <- s;
-            decr unfrozen;
-            Array.iter
-              (fun e ->
-                e.rem <- Float.max 0. (e.rem -. s);
-                e.cnt <- e.cnt - 1)
-              f.path
-          end)
-        fls;
-      List.iter (fun e -> e.bott <- false) parts
+  let n = ref 0 in
+  for i = 0 to Id_reg.length t.flows - 1 do
+    let f = Id_reg.get t.flows i in
+    if due t f then begin
+      if !n = Array.length t.due then begin
+        let d = Array.make (Int.max 8 (2 * !n)) dummy_fflow in
+        Array.blit t.due 0 d 0 !n;
+        t.due <- d
+      end;
+      t.due.(!n) <- f;
+      incr n
     end
   done;
-  (* Per-link totals, summed in flow-id order (deterministic float sums),
-     pushed to the links; links that lost their fluid load are reset. *)
-  List.iter
-    (fun f -> Array.iter (fun e -> e.fluid_bps <- e.fluid_bps +. f.rate) f.path)
-    fls;
-  let prev = t.pushed in
-  t.pushed <- [];
-  List.iter (fun e -> e.stale <- true) prev;
-  List.iter
-    (fun e ->
-      if e.fluid_bps > 0. then begin
-        Link.set_fluid_bps e.link e.fluid_bps;
-        (* Only links that actually constrained (froze) a flow hold a
-           standing queue; transit links a flow merely crosses stay clean. *)
-        Link.set_standing_s e.link
-          (if e.bott_any then t.standing_of (Link.rate_bps e.link) else 0.);
-        e.stale <- false;
-        t.pushed <- e :: t.pushed
-      end)
-    parts;
-  List.iter
-    (fun e ->
-      if e.stale then begin
-        Link.set_fluid_bps e.link 0.;
-        Link.set_standing_s e.link 0.;
-        e.stale <- false
-      end)
-    prev
+  for i = 0 to !n - 1 do
+    let f = t.due.(i) in
+    t.due.(i) <- dummy_fflow;
+    demote t f ~fault:false
+  done
+
+(* One water-filling pass over the live flows ({!Water_fill}): each link
+   offers the fluid tier its fluid/packet share of its rate (nothing while
+   down). Rates go back to the flows; per-link totals are pushed to the
+   links, and links that lost their fluid load are reset. Only links that
+   actually constrained (froze) a flow hold a standing queue; transit links
+   a flow merely crosses stay clean. *)
+let allocate t =
+  let nl = t.n_links and nf = Id_reg.length t.flows in
+  if Array.length t.caps < nl then t.caps <- Array.make (2 * nl) 0.;
+  if Array.length t.paths < nf then t.paths <- Array.make (2 * nf) [||];
+  for l = 0 to nl - 1 do
+    let e = t.links.(l) in
+    t.caps.(l) <-
+      (if e.n_fluid > 0 && Link.is_up e.link then
+         let share = float_of_int e.n_fluid /. float_of_int (e.n_fluid + e.n_pkt) in
+         Link.rate_bps e.link *. share
+       else 0.)
+  done;
+  for i = 0 to nf - 1 do
+    t.paths.(i) <- (Id_reg.get t.flows i).links
+  done;
+  Water_fill.run t.wf ~caps:t.caps ~n_links:nl ~paths:t.paths ~n_flows:nf;
+  for i = 0 to nf - 1 do
+    (Id_reg.get t.flows i).st.rate <- Water_fill.rate t.wf i
+  done;
+  for l = 0 to nl - 1 do
+    let e = t.links.(l) in
+    let bps = Water_fill.link_bps t.wf l in
+    if bps > 0. then begin
+      Link.set_fluid_bps e.link bps;
+      Link.set_standing_s e.link
+        (if Water_fill.bottleneck t.wf l then t.standing_of (Link.rate_bps e.link)
+         else 0.);
+      e.pushed <- true
+    end
+    else if e.pushed then begin
+      Link.set_fluid_bps e.link 0.;
+      Link.set_standing_s e.link 0.;
+      e.pushed <- false
+    end
+  done
 
 let boundary_time t f =
-  f.last +. ((f.remaining -. t.demote_bytes) *. 8. /. f.rate)
-
-let heap_live t f =
-  match Hashtbl.find_opt t.flows f.id with Some g -> g == f | None -> false
+  f.st.last +. ((f.st.remaining -. t.demote_bytes) *. 8. /. f.st.rate)
 
 (* Rebuild the boundary schedule from scratch: rates just changed, so every
    previously computed demotion time is void. O(live), once per pass. *)
 let rebuild_boundaries t =
-  Eheap.compact t.boundaries ~keep:(fun ~seq:_ _ -> false);
-  Det_tbl.iter
-    (fun _ f ->
-      if f.rate > 0. && f.remaining < infinity then
-        Eheap.add t.boundaries ~time:(boundary_time t f) ~seq:f.id f)
-    t.flows
+  Eheap.clear t.boundaries;
+  for i = 0 to Id_reg.length t.flows - 1 do
+    let f = Id_reg.get t.flows i in
+    if f.st.rate > 0. && f.st.remaining < infinity then
+      Eheap.add t.boundaries ~time:(boundary_time t f) ~seq:f.id f
+  done
 
 let arm_boundary t now =
   match t.boundary_tm with
@@ -268,7 +241,7 @@ let on_boundary t =
     match Eheap.peek_time t.boundaries with
     | Some tm when tm <= now ->
         let f = Eheap.pop_min t.boundaries in
-        if heap_live t f then begin
+        if f.live then begin
           settle_flow t f now;
           if due t f then begin
             demote t f ~fault:false;
@@ -292,17 +265,6 @@ let create engine net ~demote_bytes ?(standing_of = fun _ -> 0.)
     ?(min_interval = 0.) () =
   if demote_bytes < 0. then invalid_arg "Fluid.create: negative boundary";
   if min_interval < 0. then invalid_arg "Fluid.create: negative interval";
-  let dummy_fflow =
-    {
-      id = -1;
-      path = [||];
-      remaining = 0.;
-      rate = 0.;
-      last = 0.;
-      frozen = false;
-      on_demote = (fun ~remaining_bytes:_ ~rate_bps:_ -> ());
-    }
-  in
   let t =
     {
       engine;
@@ -310,15 +272,20 @@ let create engine net ~demote_bytes ?(standing_of = fun _ -> 0.)
       demote_bytes;
       standing_of;
       min_interval;
-      flows = Hashtbl.create 512;
+      flows = Id_reg.create ~dummy:dummy_fflow ();
       entries = Hashtbl.create 512;
+      links = [||];
+      n_links = 0;
+      wf = Water_fill.create ();
+      caps = [||];
+      paths = [||];
+      due = [||];
       pkt_paths = Hashtbl.create 512;
       boundaries = Eheap.create ~dummy:dummy_fflow ();
       dirty = false;
       last_alloc = neg_infinity;
       recompute_tm = None;
       boundary_tm = None;
-      pushed = [];
       admitted = 0;
       demotions = 0;
       fault_demotions = 0;
@@ -342,21 +309,15 @@ let entry_of t a b =
         | Some l -> l
         | None -> invalid_arg "Fluid: path hop without a link"
       in
-      let e =
-        {
-          key;
-          link;
-          n_fluid = 0;
-          n_pkt = 0;
-          rem = 0.;
-          cnt = 0;
-          bott = false;
-          bott_any = false;
-          fluid_bps = 0.;
-          stale = false;
-        }
-      in
+      let e = { idx = t.n_links; key; link; n_fluid = 0; n_pkt = 0; pushed = false } in
       Hashtbl.replace t.entries key e;
+      if t.n_links = Array.length t.links then begin
+        let links = Array.make (Int.max 64 (2 * t.n_links)) e in
+        Array.blit t.links 0 links 0 t.n_links;
+        t.links <- links
+      end;
+      t.links.(t.n_links) <- e;
+      t.n_links <- t.n_links + 1;
       e
 
 let entries_of_route t ~id ~src ~dst =
@@ -391,14 +352,15 @@ let admit t ~id ~src ~dst ~bytes ~on_demote =
       {
         id;
         path;
-        remaining = bytes;
-        rate = 0.;
-        last = Engine.now t.engine;
-        frozen = false;
+        links = Array.map (fun e -> e.idx) path;
+        st = { remaining = bytes; rate = 0.; last = Engine.now t.engine };
+        live = true;
         on_demote;
       }
     in
-    Hashtbl.replace t.flows id f;
+    (let i = Id_reg.index t.flows id in
+     if i >= 0 then (Id_reg.get t.flows i).live <- false);
+    Id_reg.add t.flows id f;
     mark_dirty t
   end
 
@@ -428,21 +390,19 @@ let unregister_packet t ~id =
 
 let on_link_change t a b ~up =
   if not up then begin
-    let hit =
-      List.rev
-        (Det_tbl.fold
-           (fun _ f acc ->
-             let crosses =
-               Array.exists
-                 (fun e ->
-                   let ea, eb = e.key in
-                   (ea = a && eb = b) || (ea = b && eb = a))
-                 f.path
-             in
-             if crosses then f :: acc else acc)
-           t.flows [])
+    let crosses f =
+      Array.exists
+        (fun e ->
+          let ea, eb = e.key in
+          (ea = a && eb = b) || (ea = b && eb = a))
+        f.path
     in
-    List.iter (fun f -> demote t f ~fault:true) hit
+    let hit = ref [] in
+    for i = Id_reg.length t.flows - 1 downto 0 do
+      let f = Id_reg.get t.flows i in
+      if crosses f then hit := f :: !hit
+    done;
+    List.iter (fun f -> demote t f ~fault:true) !hit
   end;
   mark_dirty t
 
@@ -455,5 +415,5 @@ let stats t =
     fault_demotions = t.fault_demotions;
     recomputes = t.recomputes;
     bytes_advanced = t.bytes_advanced;
-    live = Hashtbl.length t.flows;
+    live = Id_reg.length t.flows;
   }

@@ -17,9 +17,10 @@
     packet-level loss/RTO behaviour). Demotion hands the runner the settled
     remaining bytes and last allocated rate.
 
-    Determinism: every traversal is in sorted key order ({!Det_tbl}), so
+    Determinism: flows are held and traversed in id order, so
     allocations, float-summation order and demotion order are byte-stable
-    across runs and processes. See DESIGN.md §15. *)
+    across runs and processes. The allocation itself is {!Water_fill}. See
+    DESIGN.md §15. *)
 
 type t
 

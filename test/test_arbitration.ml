@@ -146,6 +146,154 @@ let prop_rref_positive =
       QCheck.assume (flows <> []);
       assign flows |> List.for_all (fun o -> o.Arbitration.rref_bps > 0.))
 
+(* Differential test of the stateful [Arbitrator] against the pure
+   [Arbitration.assign]: random sequences of soft-state operations over at
+   most 64 flows, with tied and infinite criteria. After every pass, each
+   flow's cached result, the allocation count, the top-queue counts and
+   the total demand must equal what [assign] computes on the arbitrator's
+   current entries; floats are compared bit for bit. Upserts go through
+   [enter], and the last handle of every flow must read the same result
+   (none once its flow was removed). A model tracks the entries and which
+   of them the last pass saw. *)
+
+type op =
+  | Upsert of int * float * float * float  (* flow, criterion, demand, now *)
+  | Remove of int
+  | Expire of float * float  (* now, max_age *)
+  | Clear
+  | Set_capacity of float
+  | Refill of int  (* upsert all 64 flows, scrambled by the multiplier *)
+  | Arbitrate
+
+let gen_op =
+  let open QCheck.Gen in
+  let flow = int_bound 63 in
+  let criterion =
+    oneof [ oneofl [ 1.; 2.; 3.; 50.; infinity ]; float_range 0. 100. ]
+  in
+  let demand = oneof [ oneofl [ 0.25e9; 1e9; 3e9 ]; float_range 1e3 2e9 ] in
+  let time = map float_of_int (int_bound 20) in
+  frequency
+    [
+      (10, map (fun (((f, c), d), n) -> Upsert (f, c, d, n))
+             (pair (pair (pair flow criterion) demand) time));
+      (2, map (fun f -> Remove f) flow);
+      (1, map (fun (n, a) -> Expire (n, a)) (pair time time));
+      (1, return Clear);
+      (1, map (fun c -> Set_capacity c) (oneofl [ -1.; 0.5e9; 1e9; 4e9 ]));
+      (1, map (fun k -> Refill k) (int_range 1 96));
+      (3, return Arbitrate);
+    ]
+
+let show_op = function
+  | Upsert (f, c, d, n) -> Printf.sprintf "upsert %d %h %h %h" f c d n
+  | Remove f -> Printf.sprintf "remove %d" f
+  | Expire (n, a) -> Printf.sprintf "expire %h %h" n a
+  | Clear -> "clear"
+  | Set_capacity c -> Printf.sprintf "set_capacity %h" c
+  | Refill k -> Printf.sprintf "refill %d" k
+  | Arbitrate -> "arbitrate"
+
+let arb_ops =
+  QCheck.make
+    ~print:(fun (nq, ops) ->
+      Printf.sprintf "queues %d: %s" nq (String.concat "; " (List.map show_op ops)))
+    QCheck.Gen.(pair (oneofl [ 1; 2; 4; 8 ]) (list_size (int_range 1 200) gen_op))
+
+module IM = Map.Make (Int)
+
+let bits = Int64.bits_of_float
+
+let prop_arbitrator_matches_assign =
+  QCheck.Test.make ~count:300 ~name:"arbitrator matches assign" arb_ops
+    (fun (num_queues, ops) ->
+      let base_rate_bps = 1e5 in
+      let a = Arbitrator.create ~capacity_bps:1e9 () in
+      (* flow -> (criterion, demand, refreshed); results of the last pass *)
+      let entries = ref IM.empty and results = ref IM.empty in
+      let handles = ref IM.empty in
+      let cap = ref 1e9 in
+      let check_pass () =
+        let inputs =
+          IM.fold
+            (fun flow (criterion, demand_bps, _) acc ->
+              { Arbitration.flow; criterion; demand_bps } :: acc)
+            !entries []
+        in
+        let outs =
+          if inputs = [] then []
+          else Arbitration.assign ~capacity_bps:!cap ~num_queues ~base_rate_bps inputs
+        in
+        results :=
+          List.fold_left
+            (fun m o -> IM.add o.Arbitration.out_flow (o.Arbitration.queue, o.Arbitration.rref_bps) m)
+            IM.empty outs;
+        for flow = 0 to 63 do
+          let got = Arbitrator.cached a ~flow and want = IM.find_opt flow !results in
+          match (got, want) with
+          | None, None -> ()
+          | Some (q, r), Some (q', r') when q = q' && bits r = bits r' -> ()
+          | _ -> QCheck.Test.fail_reportf "flow %d: cached result differs" flow
+        done;
+        IM.iter
+          (fun flow h ->
+            let q, r = Option.value (IM.find_opt flow !results) ~default:(-1, infinity) in
+            if Arbitrator.queue h <> q || bits (Arbitrator.rref_bps h) <> bits r then
+              QCheck.Test.fail_reportf "flow %d: handle result differs" flow;
+            if Arbitrator.live h <> IM.mem flow !entries then
+              QCheck.Test.fail_reportf "flow %d: handle liveness differs" flow)
+          !handles;
+        if Arbitrator.allocations a <> IM.cardinal !results then
+          QCheck.Test.fail_report "allocations";
+        for k = 0 to num_queues + 1 do
+          let want = List.length (List.filter (fun o -> o.Arbitration.queue < k) outs) in
+          if Arbitrator.in_top_queues a ~k <> want then
+            QCheck.Test.fail_reportf "in_top_queues %d" k
+        done;
+        let demand = IM.fold (fun _ (_, d, _) acc -> acc +. d) !entries 0. in
+        if bits (Arbitrator.total_demand a) <> bits demand then
+          QCheck.Test.fail_report "total_demand"
+      in
+      let upsert flow criterion demand_bps now =
+        handles := IM.add flow (Arbitrator.enter a ~flow ~criterion ~demand_bps ~now) !handles;
+        entries := IM.add flow (criterion, demand_bps, now) !entries
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Upsert (flow, criterion, demand_bps, now) -> upsert flow criterion demand_bps now
+          | Refill k ->
+              for flow = 0 to 63 do
+                upsert flow (float_of_int (flow * k mod 97)) 0.4e9 20.
+              done
+          | Remove flow ->
+              Arbitrator.remove a ~flow;
+              entries := IM.remove flow !entries;
+              results := IM.remove flow !results
+          | Expire (now, max_age) ->
+              Arbitrator.expire a ~now ~max_age;
+              let stale = IM.filter (fun _ (_, _, r) -> now -. r > max_age) !entries in
+              entries := IM.filter (fun f _ -> not (IM.mem f stale)) !entries;
+              results := IM.filter (fun f _ -> not (IM.mem f stale)) !results
+          | Clear ->
+              Arbitrator.clear a;
+              entries := IM.empty;
+              results := IM.empty
+          | Set_capacity c ->
+              Arbitrator.set_capacity a c;
+              if c > 0. then cap := c
+          | Arbitrate ->
+              Arbitrator.arbitrate a ~num_queues ~base_rate_bps;
+              check_pass ());
+          if Arbitrator.flows a <> IM.cardinal !entries then
+            QCheck.Test.fail_report "flows";
+          for flow = 0 to 63 do
+            if Arbitrator.mem a ~flow <> IM.mem flow !entries then
+              QCheck.Test.fail_reportf "mem %d" flow
+          done)
+        ops;
+      true)
+
 let suite =
   [
     Alcotest.test_case "single flow top queue" `Quick test_single_flow_top_queue;
@@ -160,4 +308,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_queue_monotone_in_priority;
     QCheck_alcotest.to_alcotest prop_every_flow_assigned;
     QCheck_alcotest.to_alcotest prop_rref_positive;
+    QCheck_alcotest.to_alcotest prop_arbitrator_matches_assign;
   ]

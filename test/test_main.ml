@@ -11,6 +11,8 @@ let () =
       ("pdq", Test_pdq.suite);
       ("d3", Test_d3.suite);
       ("arbitration", Test_arbitration.suite);
+      ("water-fill", Test_water_fill.suite);
+      ("alloc", Test_alloc.suite);
       ("pase-core", Test_pase_core.suite);
       ("stats", Test_stats.suite);
       ("streaming", Test_streaming.suite);
