@@ -389,38 +389,33 @@ let parse_range ~what s =
           | _ -> Error (Printf.sprintf "bad %s %S (want N or LO-HI)" what s))
       | _ -> Error (Printf.sprintf "bad %s %S (want N or LO-HI)" what s))
 
+(* Fold a comma-separated "key=value" flag value through [step], stopping
+   at the first error. A syntax error names the bad [what] item. *)
+let fold_fields ~what spec init step =
+  match Fault.parse_fields spec with
+  | Error item -> Error (Printf.sprintf "bad %s %S (want key=value)" what item)
+  | Ok fields ->
+      List.fold_left
+        (fun acc (key, value) -> Result.bind acc (fun a -> step a key value))
+        (Ok init) fields
+
 let parse_coflows spec =
-  let width = ref None and deadline = ref None and err = ref None in
-  String.split_on_char ',' spec
-  |> List.iter (fun item ->
-         let item = String.trim item in
-         if item <> "" && !err = None then
-           match String.index_opt item '=' with
-           | None ->
-               err :=
-                 Some
-                   (Printf.sprintf "bad coflows item %S (want key=value)" item)
-           | Some i -> (
-               let key = String.sub item 0 i in
-               let value =
-                 String.sub item (i + 1) (String.length item - i - 1)
-               in
-               match key with
-               | "width" -> (
-                   match parse_range ~what:"coflow width" value with
-                   | Ok d -> width := Some d
-                   | Error e -> err := Some e)
-               | "deadline" -> (
-                   match parse_range ~what:"coflow deadline" value with
-                   | Ok d -> deadline := Some d
-                   | Error e -> err := Some e)
-               | _ ->
-                   err :=
-                     Some (Printf.sprintf "unknown coflows key %S" key)));
-  match (!err, !width) with
-  | Some e, _ -> Error e
-  | None, None -> Error "coflows spec needs width=N or width=LO-HI"
-  | None, Some w -> Ok (w, !deadline)
+  let fields =
+    fold_fields ~what:"coflows item" spec (None, None)
+      (fun (width, deadline) key value ->
+        match key with
+        | "width" ->
+            parse_range ~what:"coflow width" value
+            |> Result.map (fun w -> (Some w, deadline))
+        | "deadline" ->
+            parse_range ~what:"coflow deadline" value
+            |> Result.map (fun d -> (width, Some d))
+        | _ -> Error (Printf.sprintf "unknown coflows key %S" key))
+  in
+  match fields with
+  | Error e -> Error e
+  | Ok (None, _) -> Error "coflows spec needs width=N or width=LO-HI"
+  | Ok (Some w, deadline) -> Ok (w, deadline)
 
 (* Resolve --workload / --cdf into a size-distribution override. *)
 let resolve_sizes ~workload ~cdf =
@@ -528,60 +523,32 @@ let faults_arg =
 (* Parse "flow=42,kind=drop,link=0-3" into per-dimension filter lists.
    An empty list for a dimension means "no filter on it". *)
 let parse_trace_filter spec =
-  let kinds = ref [] and flows = ref [] and links = ref [] in
-  let err = ref None in
-  String.split_on_char ',' spec
-  |> List.iter (fun item ->
-         let item = String.trim item in
-         if item <> "" && !err = None then
-           match String.index_opt item '=' with
-           | None ->
-               err :=
-                 Some
-                   (Printf.sprintf "bad trace filter %S (want key=value)" item)
-           | Some i -> (
-               let key = String.sub item 0 i in
-               let value =
-                 String.sub item (i + 1) (String.length item - i - 1)
-               in
-               match key with
-               | "flow" -> (
-                   match int_of_string_opt value with
-                   | Some f -> flows := f :: !flows
-                   | None ->
-                       err := Some (Printf.sprintf "bad flow id %S" value))
-               | "kind" -> (
-                   match Trace.Kind.of_name value with
-                   | Some k -> kinds := k :: !kinds
-                   | None ->
-                       err :=
-                         Some
-                           (Printf.sprintf "unknown event kind %S (known: %s)"
-                              value
-                              (String.concat ", "
-                                 (List.map Trace.Kind.name Trace.Kind.all))))
-               | "link" -> (
-                   match String.split_on_char '-' value with
-                   | [ a; b ] -> (
-                       match (int_of_string_opt a, int_of_string_opt b) with
-                       | Some a, Some b -> links := (a, b) :: !links
-                       | _ ->
-                           err :=
-                             Some
-                               (Printf.sprintf "bad link %S (want A-B)" value))
-                   | _ ->
-                       err :=
-                         Some (Printf.sprintf "bad link %S (want A-B)" value))
-               | _ ->
-                   err :=
-                     Some
-                       (Printf.sprintf "unknown trace filter key %S" key)))
-  |> ignore;
-  match !err with
-  | Some e -> Error e
-  | None ->
-      let opt = function [] -> None | l -> Some (List.rev l) in
-      Ok (opt !kinds, opt !flows, opt !links)
+  let bad_link v = Error (Printf.sprintf "bad link %S (want A-B)" v) in
+  fold_fields ~what:"trace filter" spec ([], [], [])
+    (fun (kinds, flows, links) key value ->
+      match key with
+      | "flow" -> (
+          match int_of_string_opt value with
+          | Some f -> Ok (kinds, f :: flows, links)
+          | None -> Error (Printf.sprintf "bad flow id %S" value))
+      | "kind" -> (
+          match Trace.Kind.of_name value with
+          | Some k -> Ok (k :: kinds, flows, links)
+          | None ->
+              Error
+                (Printf.sprintf "unknown event kind %S (known: %s)" value
+                   (String.concat ", " (List.map Trace.Kind.name Trace.Kind.all))))
+      | "link" -> (
+          match String.split_on_char '-' value with
+          | [ a; b ] -> (
+              match (int_of_string_opt a, int_of_string_opt b) with
+              | Some a, Some b -> Ok (kinds, flows, (a, b) :: links)
+              | _ -> bad_link value)
+          | _ -> bad_link value)
+      | _ -> Error (Printf.sprintf "unknown trace filter key %S" key))
+  |> Result.map (fun (kinds, flows, links) ->
+         let opt = function [] -> None | l -> Some (List.rev l) in
+         (opt kinds, opt flows, opt links))
 
 let cache_dir ~no_cache =
   if no_cache then None else Parallel.default_cache_dir ()
@@ -604,227 +571,245 @@ let profile_rows (r : Runner.result) =
         ];
       ]
 
-let run_cmd =
-  let action setup protocol no_cache json trace trace_format trace_filter
-      trace_limit profile faults stream_results exact_stats attrib series
-      series_interval =
-    match find_protocol protocol with
-    | Error e -> `Error (false, e)
-    | Ok proto ->
-        if series_interval <= 0. then
-          `Error (false, "--series-interval must be positive")
-        else begin
-          let hybrid = setup.hybrid in
-          let filter =
-            match trace_filter with
-            | None -> Ok (None, None, None)
-            | Some spec -> parse_trace_filter spec
-          in
-          let faults =
-            match faults with None -> Ok [] | Some spec -> Fault.parse spec
-          in
-          match (filter, faults) with
-          | Error e, _ | _, Error e -> `Error (false, e)
-          | Ok (kinds, flows_f, links), Ok fault_events ->
-              let trace_oc =
-                match trace with
-                | None -> None
-                | Some file ->
-                    let oc = open_out file in
-                    let ring =
-                      match trace_limit with
-                      | None ->
-                          let sink =
-                            match trace_format with
-                            | `Jsonl -> Trace.jsonl_sink oc
-                            | `Text -> Trace.text_sink oc
-                          in
-                          Trace.attach sink;
-                          None
-                      | Some cap ->
-                          (* Bounded ring: retain the tail in memory, write
-                             it out once the run is over. *)
-                          let ring, sink = Trace.ring_sink ~capacity:cap in
-                          Trace.attach sink;
-                          Some ring
-                    in
-                    Trace.set_kind_filter kinds;
-                    Trace.set_flow_filter flows_f;
-                    Trace.set_link_filter links;
-                    Some (file, oc, ring)
-              in
-              (* Tracing, attribution and fabric sampling all need the
-                 simulation to actually execute, in this process: skip the
-                 cache entirely. *)
-              let no_cache =
-                no_cache || trace_oc <> None || attrib <> None
-                || series <> None
-              in
-              let scn = Scenario.with_faults setup.scenario fault_events in
-              let attrib_flows = ref 0 in
-              let series_seen = ref 0 in
-              let series_dropped = ref 0 in
-              let in_process =
-                stream_results <> None || attrib <> None || series <> None
-              in
-              let r =
-                (* Fault.parse checks syntax; node refs only resolve against
-                   the topology once the run builds it, so schedule/topology
-                   mismatches surface here as Invalid_argument. *)
-                if not in_process then (
-                  match
-                    Parallel.run_jobs ~jobs:1 ~cache_dir:(cache_dir ~no_cache)
-                      ~profile ?hybrid
-                      [ (proto, scn) ]
-                  with
-                  | [ r ] -> Ok r
-                  | _ -> assert false
-                  | exception Invalid_argument e -> Error e)
-                else begin
-                  (* Spill sinks need the simulation to execute here, record
-                     by record: bypass the pool and the cache. *)
-                  let opened = ref [] in
-                  let open_spill file =
-                    let oc = open_out file in
-                    opened := oc :: !opened;
-                    oc
-                  in
-                  let on_record =
-                    Option.map
-                      (fun file ->
-                        let oc = open_spill file in
-                        fun rec_ ->
-                          output_string oc (Result_codec.record_to_json rec_);
-                          output_char oc '\n')
-                      stream_results
-                  in
-                  let on_attrib =
-                    Option.map
-                      (fun file ->
-                        let oc = open_spill file in
-                        fun ~size_pkts rec_ ->
-                          incr attrib_flows;
-                          output_string oc
-                            (Result_codec.attrib_record_to_json ~size_pkts
-                               rec_);
-                          output_char oc '\n')
-                      attrib
-                  in
-                  let series_store =
-                    Option.map
-                      (fun file ->
-                        let oc = open_spill file in
-                        Series.store
-                          ~spill:(fun s ->
-                            output_string oc (Series.sample_json s);
-                            output_char oc '\n')
-                          ())
-                      series
-                  in
-                  let stats =
-                    if stream_results <> None && not exact_stats then
-                      `Streaming
-                    else `Exact
-                  in
-                  match
-                    Fun.protect
-                      ~finally:(fun () -> List.iter close_out_noerr !opened)
-                      (fun () ->
-                        Runner.run ~profile ~stats ?on_record
-                          ~attrib:(attrib <> None) ?on_attrib
-                          ?series:
-                            (Option.map
-                               (fun st -> (st, series_interval))
-                               series_store)
-                          ?hybrid proto scn)
-                  with
-                  | r ->
-                      (match series_store with
-                      | Some st ->
-                          series_seen := Series.seen st;
-                          series_dropped := Series.dropped st
-                      | None -> ());
-                      Ok r
-                  | exception Invalid_argument e -> Error e
-                end
-              in
-              match r with
-              | Error e -> `Error (false, e)
-              | Ok r ->
-              let trace_summary =
-                match trace_oc with
-                | None -> []
-                | Some (file, oc, ring) ->
-                    let emitted = Trace.emitted () in
-                    let dropped =
-                      match ring with
-                      | None -> 0
-                      | Some ring ->
-                          let fmt =
-                            match trace_format with
-                            | `Jsonl -> Trace.to_json
-                            | `Text -> Trace.to_text
-                          in
-                          List.iter
-                            (fun (time, ev) ->
-                              output_string oc (fmt ~time ev);
-                              output_char oc '\n')
-                            (Trace.ring_contents ring);
-                          Trace.ring_dropped ring
-                    in
-                    Trace.reset ();
-                    close_out oc;
-                    [
-                      ("trace_file", Printf.sprintf "%S" file);
-                      ("trace_events", string_of_int emitted);
-                      ("trace_dropped_events", string_of_int dropped);
-                    ]
-              in
-              let extra =
-                trace_summary
-                @ (match stream_results with
-                  | None -> []
-                  | Some file ->
-                      [
-                        ("stream_results_file", Printf.sprintf "%S" file);
-                        ( "stream_results_records",
-                          string_of_int (Fct.count r.Runner.fct) );
-                      ])
-                @ (match attrib with
-                  | None -> []
-                  | Some file ->
-                      [
-                        ("attrib_file", Printf.sprintf "%S" file);
-                        ("attrib_flows", string_of_int !attrib_flows);
-                      ])
-                @
-                match series with
-                | None -> []
-                | Some file ->
-                    [
-                      ("series_file", Printf.sprintf "%S" file);
-                      ("series_samples", string_of_int !series_seen);
-                      ("series_dropped", string_of_int !series_dropped);
-                    ]
-              in
-              if json then
-                print_endline (Result_codec.to_json ~extra r)
-              else begin
-                print_result r;
+(* ---- run: sinks ---------------------------------------------------------- *)
+
+(* What the spill sinks hand to [Runner.run]. *)
+type hooks = {
+  stats : [ `Exact | `Streaming ];
+  on_record : (Fct.record -> unit) option;
+  on_attrib : (size_pkts:int -> Delay.record -> unit) option;
+  series : (Series.store * float) option;
+}
+
+let no_hooks = { stats = `Exact; on_record = None; on_attrib = None; series = None }
+
+(* A file the run writes besides its result: --trace, --stream-results,
+   --attrib or --series. [attach] wires the opened file into the run and
+   returns the summary rows to print after the run, which follow a
+   "<flag>_file" row. *)
+type sink = {
+  flag : string;
+  file : string;
+  attach :
+    out_channel -> hooks -> hooks * (Runner.result -> (string * string) list);
+}
+
+(* The summary-row prefix: "--stream-results" -> "stream_results". *)
+let summary_key sink =
+  String.map
+    (function '-' -> '_' | c -> c)
+    (String.sub sink.flag 2 (String.length sink.flag - 2))
+
+let trace_term =
+  let resolve file format filter limit =
+    let ( let* ) = Result.bind in
+    let* kinds, flows, links =
+      match filter with
+      | None -> Ok (None, None, None)
+      | Some spec -> parse_trace_filter spec
+    in
+    let* () =
+      match limit with
+      | Some n when n <= 0 ->
+          Error (Printf.sprintf "--trace-limit must be positive, got %d" n)
+      | Some _ | None -> Ok ()
+    in
+    let attach oc hooks =
+      (* A bounded ring keeps the tail in memory and writes it out once the
+         run is over; otherwise events stream straight to the file. *)
+      let ring =
+        match limit with
+        | None ->
+            Trace.attach
+              (match format with
+              | `Jsonl -> Trace.jsonl_sink oc
+              | `Text -> Trace.text_sink oc);
+            None
+        | Some capacity ->
+            let ring, sink = Trace.ring_sink ~capacity in
+            Trace.attach sink;
+            Some ring
+      in
+      Trace.set_kind_filter kinds;
+      Trace.set_flow_filter flows;
+      Trace.set_link_filter links;
+      ( hooks,
+        fun _ ->
+          let emitted = Trace.emitted () in
+          let dropped =
+            match ring with
+            | None -> 0
+            | Some ring ->
+                let render =
+                  match format with
+                  | `Jsonl -> Trace.to_json
+                  | `Text -> Trace.to_text
+                in
                 List.iter
-                  (fun row -> print_endline (String.concat "  " row))
-                  (profile_rows r);
-                List.iter (fun (k, v) -> Printf.printf "%s  %s\n" k v) extra
-              end;
-              `Ok ()
-        end
+                  (fun (time, ev) ->
+                    output_string oc (render ~time ev);
+                    output_char oc '\n')
+                  (Trace.ring_contents ring);
+                Trace.ring_dropped ring
+          in
+          Trace.reset ();
+          [
+            ("trace_events", string_of_int emitted);
+            ("trace_dropped_events", string_of_int dropped);
+          ] )
+    in
+    Ok (Option.map (fun file -> { flag = "--trace"; file; attach }) file)
+  in
+  Term.(
+    term_result' ~usage:false
+      (const resolve $ trace_arg $ trace_format_arg $ trace_filter_arg
+     $ trace_limit_arg))
+
+let spills_term =
+  let resolve stream_results exact_stats attrib series series_interval =
+    let line oc s =
+      output_string oc s;
+      output_char oc '\n'
+    in
+    let sink flag attach = Option.map (fun file -> { flag; file; attach }) in
+    if series_interval <= 0. then Error "--series-interval must be positive"
+    else
+      Ok
+        (List.filter_map Fun.id
+           [
+             sink "--stream-results"
+               (fun oc hooks ->
+                 ( {
+                     hooks with
+                     stats = (if exact_stats then `Exact else `Streaming);
+                     on_record =
+                       Some (fun r -> line oc (Result_codec.record_to_json r));
+                   },
+                   fun r ->
+                     [
+                       ( "stream_results_records",
+                         string_of_int (Fct.count r.Runner.fct) );
+                     ] ))
+               stream_results;
+             sink "--attrib"
+               (fun oc hooks ->
+                 let flows = ref 0 in
+                 ( {
+                     hooks with
+                     on_attrib =
+                       Some
+                         (fun ~size_pkts r ->
+                           incr flows;
+                           line oc
+                             (Result_codec.attrib_record_to_json ~size_pkts r));
+                   },
+                   fun _ -> [ ("attrib_flows", string_of_int !flows) ] ))
+               attrib;
+             sink "--series"
+               (fun oc hooks ->
+                 let store =
+                   Series.store ~spill:(fun s -> line oc (Series.sample_json s)) ()
+                 in
+                 ( { hooks with series = Some (store, series_interval) },
+                   fun _ ->
+                     [
+                       ("series_samples", string_of_int (Series.seen store));
+                       ("series_dropped", string_of_int (Series.dropped store));
+                     ] ))
+               series;
+           ])
+  in
+  Term.(
+    term_result' ~usage:false
+      (const resolve $ stream_results_arg $ exact_stats_arg $ attrib_arg
+     $ series_arg $ series_interval_arg))
+
+(* Open every sink's file before anything runs: an unwritable path is an
+   error naming its flag, and closes the files already opened. *)
+let open_sinks sinks =
+  List.fold_left
+    (fun acc sink ->
+      Result.bind acc (fun opened ->
+          match open_out sink.file with
+          | oc -> Ok ((sink, oc) :: opened)
+          | exception Sys_error e ->
+              List.iter (fun (_, oc) -> close_out_noerr oc) opened;
+              Error (Printf.sprintf "%s: %s" sink.flag e)))
+    (Ok []) sinks
+  |> Result.map List.rev
+
+let run_cmd =
+  let protocol_term =
+    Term.(term_result' ~usage:false (const find_protocol $ protocol_arg))
+  in
+  let faults_term =
+    let parse = function None -> Ok [] | Some spec -> Fault.parse spec in
+    Term.(term_result' ~usage:false (const parse $ faults_arg))
+  in
+  let action setup proto no_cache json profile faults trace spills =
+    let scn = Scenario.with_faults setup.scenario faults in
+    let simulate = function
+      | [] -> (
+          (* No sink: the cached single-job path [compare] uses too. *)
+          match
+            Parallel.run_jobs ~jobs:1 ~cache_dir:(cache_dir ~no_cache) ~profile
+              ?hybrid:setup.hybrid
+              [ (proto, scn) ]
+          with
+          | [ r ] -> (r, [])
+          | _ -> assert false)
+      | opened ->
+          (* Sinks need the simulation to execute here, record by record. *)
+          let hooks, summaries =
+            List.fold_left_map
+              (fun hooks (sink, oc) ->
+                let hooks, summary = sink.attach oc hooks in
+                (hooks, (sink, summary)))
+              no_hooks opened
+          in
+          let r =
+            Runner.run ~profile ~stats:hooks.stats ?on_record:hooks.on_record
+              ~attrib:(hooks.on_attrib <> None) ?on_attrib:hooks.on_attrib
+              ?series:hooks.series ?hybrid:setup.hybrid proto scn
+          in
+          ( r,
+            List.concat_map
+              (fun (sink, summary) ->
+                (summary_key sink ^ "_file", Printf.sprintf "%S" sink.file)
+                :: summary r)
+              summaries )
+    in
+    let outcome =
+      Result.bind
+        (open_sinks (Option.to_list trace @ spills))
+        (fun opened ->
+          Fun.protect
+            ~finally:(fun () ->
+              List.iter (fun (_, oc) -> close_out_noerr oc) opened)
+            (fun () ->
+              (* Fault.parse checks syntax; node refs only resolve against
+                 the topology once the run builds it, so schedule/topology
+                 mismatches surface here as Invalid_argument. *)
+              try Ok (simulate opened) with Invalid_argument e -> Error e))
+    in
+    match outcome with
+    | Error e -> `Error (false, e)
+    | Ok (r, extra) ->
+        if json then print_endline (Result_codec.to_json ~extra r)
+        else begin
+          print_result r;
+          List.iter
+            (fun row -> print_endline (String.concat "  " row))
+            (profile_rows r);
+          List.iter (fun (k, v) -> Printf.printf "%s  %s\n" k v) extra
+        end;
+        `Ok ()
   in
   let term =
     Term.(
-      ret (const action $ setup_term $ protocol_arg $ no_cache_arg $ json_arg
-          $ trace_arg $ trace_format_arg $ trace_filter_arg $ trace_limit_arg
-          $ profile_arg $ faults_arg $ stream_results_arg $ exact_stats_arg
-          $ attrib_arg $ series_arg $ series_interval_arg))
+      ret
+        (const action $ setup_term $ protocol_term $ no_cache_arg $ json_arg
+       $ profile_arg $ faults_term $ trace_term $ spills_term))
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one protocol on one scenario") term
 

@@ -265,20 +265,22 @@ let parse_node_ref s =
 
 let parse_fields s =
   List.fold_left
-    (fun acc field ->
-      match acc with
-      | Error _ -> acc
-      | Ok fields -> (
-          match String.index_opt field '=' with
-          | None -> Error (Printf.sprintf "expected key=value, got %S" field)
+    (fun acc item ->
+      match (acc, String.trim item) with
+      | Error _, _ | Ok _, "" -> acc
+      | Ok fields, item -> (
+          match String.index_opt item '=' with
+          | None -> Error item
           | Some i ->
-              let k = String.sub field 0 i in
-              let v = String.sub field (i + 1) (String.length field - i - 1) in
+              let k = String.sub item 0 i in
+              let v = String.sub item (i + 1) (String.length item - i - 1) in
               Ok ((k, v) :: fields)))
     (Ok [])
     (String.split_on_char ',' s)
+  |> Result.map List.rev
 
-let field fields k = List.assoc_opt k fields
+(* A repeated key takes its last value. *)
+let field fields k = List.assoc_opt k (List.rev fields)
 
 let float_field fields k =
   match field fields k with
@@ -319,7 +321,10 @@ let parse_event s =
   | None -> Error (Printf.sprintf "expected <kind>:<fields>, got %S" s)
   | Some i -> (
       let kind = String.sub s 0 i in
-      let* fields = parse_fields (String.sub s (i + 1) (String.length s - i - 1)) in
+      let* fields =
+        parse_fields (String.sub s (i + 1) (String.length s - i - 1))
+        |> Result.map_error (Printf.sprintf "expected key=value, got %S")
+      in
       match kind with
       | "down" ->
           let* a = node_field fields "a" in

@@ -88,6 +88,12 @@ val count : event list -> int
 
 val parse : string -> (event list, string) result
 
+(** [parse_fields "k1=v1,k2=v2"] splits a comma-separated [key=value] list,
+    in input order. Items are trimmed and empty items skipped; a value may
+    itself contain ['=']. The error is the first item without ['=']. The
+    CLI's other [key=value] flags share this parser. *)
+val parse_fields : string -> ((string * string) list, string) result
+
 val event_to_string : event -> string
 (** Canonical rendering in the {!parse} grammar; floats use [%.17g] so the
     string round-trips exactly. *)

@@ -113,8 +113,7 @@ let scenario_key (s : Scenario.t) =
           Printf.sprintf "coflow=%s/%s" (dist_key width) (opt_dist deadline_s));
     ]
 
-let job_key ?horizon ?(profile = false) ?(stats = `Exact) ?(attrib = false)
-    ?hybrid proto scenario =
+let job_key ?(profile = false) ?hybrid proto scenario =
   let descr =
     String.concat "\n"
       [
@@ -122,17 +121,8 @@ let job_key ?horizon ?(profile = false) ?(stats = `Exact) ?(attrib = false)
         Printf.sprintf "codec=%d" Result_codec.version;
         protocol_key proto;
         scenario_key scenario;
-        (match horizon with None -> "horizon=-" | Some h -> "horizon=" ^ fl h);
         (* Profiled results embed sched_profile, so they cache separately. *)
         Printf.sprintf "profile=%b" profile;
-        (* Exact and streaming results embed different Fct payloads (full
-           record list vs. sketch + reservoir), so they cache separately. *)
-        (match stats with
-        | `Exact -> "stats=exact"
-        | `Streaming -> "stats=streaming");
-        (* Attributed results embed the Attrib aggregate, so they cache
-           separately from plain runs of the same configuration. *)
-        Printf.sprintf "attrib=%b" attrib;
         (* Hybrid runs (and hybrid-tagged packet runs — the classifier tag
            lands in every record) cache separately per threshold. *)
         (match (hybrid : Runner.hybrid option) with
@@ -301,9 +291,8 @@ let run_pool ~jobs ~simulate pending ~on_done =
 
 (* ---- driver ------------------------------------------------------------- *)
 
-let run_jobs ?jobs ?cache_dir ?horizon ?(profile = false) ?(stats = `Exact)
-    ?(attrib = false) ?hybrid ?(on_result = fun _ ~cached:_ ~wall:_ _ -> ())
-    pairs =
+let run_jobs ?jobs ?cache_dir ?(profile = false) ?hybrid
+    ?(on_result = fun _ ~cached:_ ~wall:_ _ -> ()) pairs =
   let jobs =
     match jobs with Some j -> max 1 j | None -> max 1 (default_jobs ())
   in
@@ -312,11 +301,7 @@ let run_jobs ?jobs ?cache_dir ?horizon ?(profile = false) ?(stats = `Exact)
   in
   let arr = Array.of_list pairs in
   let n = Array.length arr in
-  let keys =
-    Array.map
-      (fun (p, s) -> job_key ?horizon ~profile ~stats ~attrib ?hybrid p s)
-      arr
-  in
+  let keys = Array.map (fun (p, s) -> job_key ~profile ?hybrid p s) arr in
   let results : Runner.result option array = Array.make n None in
   let settle i ~cached ~wall r =
     results.(i) <- Some r;
@@ -351,7 +336,7 @@ let run_jobs ?jobs ?cache_dir ?horizon ?(profile = false) ?(stats = `Exact)
      single job, over the fork pool otherwise. *)
   let simulate i =
     let proto, scenario = arr.(i) in
-    Runner.run ~profile ?horizon ~stats ~attrib ?hybrid proto scenario
+    Runner.run ~profile ?hybrid proto scenario
   in
   if jobs = 1 || List.compare_length_with !pending 1 <= 0 then
     List.iter
@@ -379,12 +364,3 @@ let run_jobs ?jobs ?cache_dir ?horizon ?(profile = false) ?(stats = `Exact)
                  | None -> assert false)
              | None -> assert false))
        results)
-
-(* ---- sweep-level aggregation -------------------------------------------- *)
-
-let merged_fct = function
-  | [] -> invalid_arg "Parallel.merged_fct: empty result list"
-  | r :: rest ->
-      List.fold_left
-        (fun acc (r : Runner.result) -> Fct.merge acc r.Runner.fct)
-        r.Runner.fct rest

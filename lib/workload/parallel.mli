@@ -20,20 +20,14 @@ val default_jobs : unit -> int
     directory. *)
 val default_cache_dir : unit -> string option
 
-(** [job_key ?horizon proto scenario] is a stable hex digest identifying the
-    configuration: protocol (including the full PASE parameter set), scenario
-    pattern and workload parameters, seed, horizon, codec version, and a
-    digest of the running executable (so rebuilding the code invalidates the
+(** [job_key ?profile ?hybrid proto scenario] is a stable hex digest
+    identifying the configuration: protocol (including the full PASE
+    parameter set), scenario pattern and workload parameters, seed, fault
+    schedule, profiling, hybrid configuration, codec version, and a digest
+    of the running executable (so rebuilding the code invalidates the
     cache). *)
 val job_key :
-  ?horizon:float ->
-  ?profile:bool ->
-  ?stats:[ `Exact | `Streaming ] ->
-  ?attrib:bool ->
-  ?hybrid:Runner.hybrid ->
-  Runner.protocol ->
-  Scenario.t ->
-  string
+  ?profile:bool -> ?hybrid:Runner.hybrid -> Runner.protocol -> Scenario.t -> string
 
 (** [run_jobs jobs_list] executes every job and returns the results in input
     order.
@@ -42,15 +36,8 @@ val job_key :
       in-process).
     - [cache_dir]: on-disk cache location; [None] disables the cache
       (default {!default_cache_dir}).
-    - [horizon]: forwarded to {!Runner.run}.
     - [profile]: forwarded to {!Runner.run}; profiled results cache under a
       distinct key (their [sched_profile] differs).
-    - [stats]: forwarded to {!Runner.run}; exact and streaming results embed
-      different [Fct] payloads and cache under distinct keys.
-    - [attrib]: forwarded to {!Runner.run}; attributed results embed the
-      {!Attrib} aggregate and cache under distinct keys. (Per-record
-      [on_attrib] spilling and the fabric sampler are in-process-only
-      concerns — use {!Runner.run} directly for those.)
     - [hybrid]: forwarded to {!Runner.run}; hybrid-configured results (even
       with [enabled = false] — the classifier tag lands in every record)
       cache under distinct keys per threshold.
@@ -62,22 +49,17 @@ val job_key :
     Duplicate configurations in the input are simulated once and the result
     is shared. A worker that dies (non-zero exit, or an unreadable result
     stream) fails the whole call with [Failure]; remaining workers are
-    reaped first. *)
+    reaped first.
+
+    Every job runs with {!Runner.run}'s defaults otherwise: exact
+    statistics, no attribution, no sinks and the default horizon. Runs
+    that spill records or attach observers need this process: call
+    {!Runner.run} directly for those. *)
 val run_jobs :
   ?jobs:int ->
   ?cache_dir:string option ->
-  ?horizon:float ->
   ?profile:bool ->
-  ?stats:[ `Exact | `Streaming ] ->
-  ?attrib:bool ->
   ?hybrid:Runner.hybrid ->
   ?on_result:(int -> cached:bool -> wall:float -> Runner.result -> unit) ->
   job list ->
   Runner.result list
-
-(** [merged_fct results] folds the per-job FCT collections into one with
-    {!Fct.merge}, left to right in input order. Because results come back in
-    input order regardless of worker scheduling, the merged collection is
-    byte-identical whether the jobs ran serially or forked. Raises
-    [Invalid_argument] on the empty list or on mixed collection modes. *)
-val merged_fct : Runner.result list -> Fct.t

@@ -188,10 +188,15 @@ let build ~run ?attrib_lines ?series_lines ?vs ?(top = 5) () =
   { run; flows; links; series_samples; vs; top }
 
 let of_files ~result ?attrib ?series ?vs ?top () =
-  build ~run:(parse_file result)
-    ?attrib_lines:(Option.map parse_lines attrib)
-    ?series_lines:(Option.map parse_lines series)
-    ?vs:(Option.map parse_file vs)
+  (* An unreadable input names the argument it came in on. *)
+  let load arg parse path =
+    try parse path with Sys_error e -> failwith (Printf.sprintf "--%s: %s" arg e)
+  in
+  build
+    ~run:(load "result" parse_file result)
+    ?attrib_lines:(Option.map (load "attrib" parse_lines) attrib)
+    ?series_lines:(Option.map (load "series" parse_lines) series)
+    ?vs:(Option.map (load "vs" parse_file) vs)
     ?top ()
 
 (* ---- rendering helpers -------------------------------------------------- *)

@@ -29,7 +29,8 @@ val of_files :
   t
 (** Like {!build} but reading files: [result]/[vs] are result JSON files,
     [attrib]/[series] are JSONL spills. Raises [Failure] with the offending
-    path on unreadable or unparsable input. *)
+    path on unreadable or unparsable input; an unreadable file's message
+    also names its argument as the CLI flag ([--result], [--attrib], ...). *)
 
 val to_json : t -> string
 (** Single deterministic JSON object:

@@ -129,6 +129,65 @@ let qdisc_for protocol counters ~rtt =
           ~limit_pkts:cfg.Config.queue_limit_pkts
           ~mark_threshold:(mark_threshold_for rate_bps)
 
+(* A protocol's control plane, as the fault plane and the end of the run
+   drive it. End-host transports (the DCTCP family, pFabric) have none. *)
+type control = {
+  crash : int -> unit;  (* the node loses the control state it runs *)
+  restart : int -> unit;
+  ctrl_loss : float option -> unit;  (* open ([Some p]) or close a window *)
+  link_down : int -> int -> unit;
+  stop : unit -> unit;  (* end of run *)
+}
+
+let no_control =
+  {
+    crash = ignore;
+    restart = ignore;
+    ctrl_loss = ignore;
+    link_down = (fun _ _ -> ());
+    stop = ignore;
+  }
+
+(* Per-link control agents (PDQ arbiters, D3 routers), created on first use
+   along a flow's route and keyed by directed link. A crashed switch loses
+   the agents of its outgoing links; a down link loses both directions'.
+   Returns the control hooks and a sender starter that hands [start] the
+   agents on the flow's path. *)
+let link_agents net ~create ~clear start =
+  let agents = Hashtbl.create 32 in
+  let agent a b =
+    match Hashtbl.find_opt agents (a, b) with
+    | Some x -> x
+    | None ->
+        let link =
+          match Net.link_from net a b with Some l -> l | None -> assert false
+        in
+        let x = create ~capacity_bps:(Link.rate_bps link) in
+        Hashtbl.replace agents (a, b) x;
+        x
+  in
+  let rec along acc = function
+    | a :: (b :: _ as rest) -> along (agent a b :: acc) rest
+    | _ -> List.rev acc
+  in
+  let clear_link key = Option.iter clear (Hashtbl.find_opt agents key) in
+  ( {
+      no_control with
+      crash =
+        (fun node ->
+          Det_tbl.iter (fun (a, _) x -> if a = node then clear x) agents);
+      link_down =
+        (fun a b ->
+          clear_link (a, b);
+          clear_link (b, a));
+    },
+    fun (spec : Scenario.flow_spec) ~flow ~init_rtt ~init_cwnd:_ ~on_complete ->
+      let route =
+        Net.route net ~flow:flow.Flow.id ~src:spec.Scenario.src
+          ~dst:spec.Scenario.dst ()
+      in
+      start ~flow (along [] route) ~init_rtt ~on_complete )
+
 let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
     ?(attrib = false) ?on_attrib ?series ?hybrid protocol scenario =
   (match hybrid with
@@ -161,43 +220,36 @@ let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
   (* The fluid tier exists only when hybrid is enabled for a whitelisted
      protocol; with [None] every coupling hook below compiles to a
      pattern-match on a constant and the packet path is untouched. *)
-  let hybrid_on =
-    match hybrid with
-    | Some h -> h.enabled && fluid_capable protocol
-    | None -> false
-  in
   let fluid_tier =
-    if hybrid_on then
-      match hybrid with
-      | Some h ->
-          (* DCTCP-family fluid flows hold ~K (the marking threshold) of
-             standing backlog at their bottleneck; packet-tier traffic
-             waits behind it in the full engine, so the fluid tier pushes
-             the equivalent latency. PASE's arbitration paces senders to
-             allocated rates and keeps queues near-empty: no term. *)
-          let standing_of =
-            match protocol with
-            | Dctcp | D2tcp | L2dct ->
-                (* 3/4 K: the sawtooth oscillates below the threshold, so
-                   the time-average backlog sits under K (calibrated on the
-                   fat-tree accuracy harness; see DESIGN.md §15). *)
-                fun rate_bps ->
-                  0.75
-                  *. float_of_int (mark_threshold_for rate_bps)
-                  *. float_of_int (8 * (mss + Packet.header_bytes))
-                  /. rate_bps
-            | Pase _ | Pfabric | Pdq | D3 -> fun _ -> 0.
-          in
-          Some
-            (Fluid.create engine net
-               ~demote_bytes:(float_of_int h.fluid_threshold)
-               ~standing_of
-               (* One pass per topology RTT: congestion control cannot
-                  re-converge faster anyway, and it decouples allocation
-                  cost from the flow churn rate at scale. *)
-               ~min_interval:(Scenario.nominal_rtt scenario) ())
-      | None -> None
-    else None
+    match hybrid with
+    | Some h when h.enabled && fluid_capable protocol ->
+        (* DCTCP-family fluid flows hold ~K (the marking threshold) of
+           standing backlog at their bottleneck; packet-tier traffic waits
+           behind it in the full engine, so the fluid tier pushes the
+           equivalent latency. PASE's arbitration paces senders to
+           allocated rates and keeps queues near-empty: no term. *)
+        let standing_of =
+          match protocol with
+          | Dctcp | D2tcp | L2dct ->
+              (* 3/4 K: the sawtooth oscillates below the threshold, so the
+                 time-average backlog sits under K (calibrated on the
+                 fat-tree accuracy harness; see DESIGN.md §15). *)
+              fun rate_bps ->
+                0.75
+                *. float_of_int (mark_threshold_for rate_bps)
+                *. float_of_int (8 * (mss + Packet.header_bytes))
+                /. rate_bps
+          | Pase _ | Pfabric | Pdq | D3 -> fun _ -> 0.
+        in
+        Some
+          (Fluid.create engine net
+             ~demote_bytes:(float_of_int h.fluid_threshold)
+             ~standing_of
+             (* One pass per topology RTT: congestion control cannot
+                re-converge faster anyway, and it decouples allocation cost
+                from the flow churn rate at scale. *)
+             ~min_interval:(Scenario.nominal_rtt scenario) ())
+    | Some _ | None -> None
   in
   let fct =
     match stats with
@@ -248,108 +300,111 @@ let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
     coflow_track r;
     match on_record with Some f -> f r | None -> ()
   in
-  let hierarchy =
+  (* Each protocol wired once: its arbitration hierarchy (PASE only), the
+     control hooks the fault plane and the end of the run drive, and how a
+     flow's sender attaches to it. [init_cwnd] seeds a flow demoted from
+     the fluid tier. *)
+  let hierarchy, control, start_sender =
     match protocol with
-    | Pase cfg ->
-        let base_rate_bps = 8. *. float_of_int (mss + Packet.header_bytes) /. plan.Scenario.rtt in
-        (* Arbitration runs once per RTT (sec 3.1); track the topology's. *)
-        let cfg =
-          { cfg with Config.arb_period = Float.min cfg.Config.arb_period plan.Scenario.rtt }
+    | Dctcp | D2tcp | L2dct ->
+        let create =
+          match protocol with
+          | D2tcp -> D2tcp.create
+          | L2dct -> L2dct.create
+          | Dctcp | Pfabric | Pdq | D3 | Pase _ -> Dctcp.create
         in
-        let h = Hierarchy.create engine counters cfg topo ~base_rate_bps in
+        ( None,
+          no_control,
+          fun _spec ~flow ~init_rtt ~init_cwnd ~on_complete ->
+            (* D2TCP and L2DCT share DCTCP's sender configuration. *)
+            let conf = Dctcp.conf ~init_rtt () in
+            let conf =
+              match init_cwnd with
+              | Some w -> { conf with Sender_base.init_cwnd = w }
+              | None -> conf
+            in
+            Sender_base.start (create net ~flow ~conf ~on_complete ()) )
+    | Pfabric ->
+        ( None,
+          no_control,
+          fun _spec ~flow ~init_rtt ~init_cwnd:_ ~on_complete ->
+            (* Table 3 verbatim: flows start at a 38-segment window (line
+               rate for over an RTT on every topology evaluated). *)
+            Sender_base.start
+              (Pfabric_host.create net ~flow
+                 ~conf:(Pfabric_host.conf ~init_rtt ~init_cwnd:38. ())
+                 ~on_complete ()) )
+    | Pdq ->
+        let control, start =
+          link_agents net ~create:Pdq.Arbiter.create ~clear:Pdq.Arbiter.clear
+            (fun ~flow arbiters ~init_rtt ~on_complete ->
+              Pdq.start
+                (Pdq.create net ~flow ~arbiters ~rtt:init_rtt
+                   ~conf:(Pdq.conf ~init_rtt ()) ~on_complete ()))
+        in
+        (None, control, start)
+    | D3 ->
+        let control, start =
+          link_agents net ~create:D3.Router.create ~clear:D3.Router.clear
+            (fun ~flow routers ~init_rtt ~on_complete ->
+              D3.start
+                (D3.create net ~flow ~routers ~rtt:init_rtt
+                   ~conf:(D3.conf ~init_rtt ()) ~on_complete ()))
+        in
+        (None, control, start)
+    | Pase cfg ->
+        let base_rate_bps =
+          8. *. float_of_int (mss + Packet.header_bytes) /. plan.Scenario.rtt
+        in
+        (* Arbitration runs once per RTT (sec 3.1); track the topology's. *)
+        let arb_cfg =
+          {
+            cfg with
+            Config.arb_period = Float.min cfg.Config.arb_period plan.Scenario.rtt;
+          }
+        in
+        let h = Hierarchy.create engine counters arb_cfg topo ~base_rate_bps in
         Hierarchy.start h;
-        Some h
-    | Dctcp | D2tcp | L2dct | Pfabric | Pdq | D3 -> None
+        ( Some h,
+          {
+            crash = Hierarchy.fail_node h;
+            restart = Hierarchy.recover_node h;
+            ctrl_loss = Hierarchy.set_ctrl_loss_override h;
+            link_down = (fun _ _ -> ());
+            stop = (fun () -> Hierarchy.stop h);
+          },
+          fun (spec : Scenario.flow_spec) ~flow ~init_rtt ~init_cwnd:_
+              ~on_complete ->
+            (* Task-aware scheduling: all flows of a task share one
+               criterion, tasks served in arrival order (task ids are
+               assigned in arrival order by the scenario). *)
+            let criterion_override =
+              match (cfg.Config.scheduling, spec.Scenario.task) with
+              | Config.Task_aware, Some task ->
+                  Some (fun () -> float_of_int task)
+              | (Config.Task_aware | Config.Srpt | Config.Edf), _ -> None
+            in
+            Pase_host.start
+              (Pase_host.create net h ~flow ~cfg ~rtt:init_rtt
+                 ~nic_bps:topo.Topology.edge_rate_bps ?criterion_override
+                 ~on_complete ()) )
   in
-  let pdq_arbs : (int * int, Pdq.Arbiter.t) Hashtbl.t = Hashtbl.create 32 in
-  let d3_routers : (int * int, D3.Router.t) Hashtbl.t = Hashtbl.create 32 in
   let fault_plane =
     match scenario.Scenario.faults with
     | [] -> None
     | events ->
-        let on_crash node =
-          (match hierarchy with
-          | Some h -> Hierarchy.fail_node h node
-          | None -> ());
-          (* A crashed switch also loses any PDQ/D3 control state it runs
-             (arbiters/routers of its outgoing links). *)
-          Det_tbl.iter
-            (fun (a, _) arb -> if a = node then Pdq.Arbiter.clear arb)
-            pdq_arbs;
-          Det_tbl.iter
-            (fun (a, _) r -> if a = node then D3.Router.clear r)
-            d3_routers
-        in
-        let on_restart node =
-          match hierarchy with
-          | Some h -> Hierarchy.recover_node h node
-          | None -> ()
-        in
-        let on_ctrl_loss p =
-          match hierarchy with
-          | Some h -> Hierarchy.set_ctrl_loss_override h p
-          | None -> ()
-        in
         let on_link a b ~up =
           (* A down link demotes every fluid flow crossing it: loss and
              recovery behaviour need the packet engine. *)
           (match fluid_tier with
           | Some fl -> Fluid.on_link_change fl a b ~up
           | None -> ());
-          if not up then
-            List.iter
-              (fun key ->
-                (match Hashtbl.find_opt pdq_arbs key with
-                | Some arb -> Pdq.Arbiter.clear arb
-                | None -> ());
-                match Hashtbl.find_opt d3_routers key with
-                | Some r -> D3.Router.clear r
-                | None -> ())
-              [ (a, b); (b, a) ]
+          if not up then control.link_down a b
         in
-        Some (Fault.create topo ~on_crash ~on_restart ~on_ctrl_loss ~on_link events)
-  in
-  let d3_routers_for ~flow src dst =
-    let rec links acc = function
-      | a :: (b :: _ as rest) ->
-          let router =
-            match Hashtbl.find_opt d3_routers (a, b) with
-            | Some r -> r
-            | None ->
-                let link =
-                  match Net.link_from net a b with
-                  | Some l -> l
-                  | None -> assert false
-                in
-                let r = D3.Router.create ~capacity_bps:(Link.rate_bps link) in
-                Hashtbl.replace d3_routers (a, b) r;
-                r
-          in
-          links (router :: acc) rest
-      | _ -> List.rev acc
-    in
-    links [] (Net.route net ~flow ~src ~dst ())
-  in
-  let pdq_arbiters_for ~flow src dst =
-    let rec links acc = function
-      | a :: (b :: _ as rest) ->
-          let arb =
-            match Hashtbl.find_opt pdq_arbs (a, b) with
-            | Some arb -> arb
-            | None ->
-                let link =
-                  match Net.link_from net a b with
-                  | Some l -> l
-                  | None -> assert false
-                in
-                let arb = Pdq.Arbiter.create ~capacity_bps:(Link.rate_bps link) in
-                Hashtbl.replace pdq_arbs (a, b) arb;
-                arb
-          in
-          links (arb :: acc) rest
-      | _ -> List.rev acc
-    in
-    links [] (Net.route net ~flow ~src ~dst ())
+        Some
+          (Fault.create topo ~on_crash:control.crash
+             ~on_restart:control.restart ~on_ctrl_loss:control.ctrl_loss
+             ~on_link events)
   in
   let measured =
     List.filter (fun s -> not s.Scenario.long_lived) plan.Scenario.specs
@@ -445,66 +500,7 @@ let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
           Fluid.register_packet fl ~id ~src:spec.Scenario.src
             ~dst:spec.Scenario.dst
       | None -> ());
-      match protocol with
-      | Dctcp ->
-          let conf = Dctcp.conf ~init_rtt () in
-          let conf =
-            match init_cwnd with
-            | Some w -> { conf with Sender_base.init_cwnd = w }
-            | None -> conf
-          in
-          Sender_base.start (Dctcp.create net ~flow ~conf ~on_complete ())
-      | D2tcp ->
-          let conf = D2tcp.conf ~init_rtt () in
-          let conf =
-            match init_cwnd with
-            | Some w -> { conf with Sender_base.init_cwnd = w }
-            | None -> conf
-          in
-          Sender_base.start (D2tcp.create net ~flow ~conf ~on_complete ())
-      | L2dct ->
-          let conf = L2dct.conf ~init_rtt () in
-          let conf =
-            match init_cwnd with
-            | Some w -> { conf with Sender_base.init_cwnd = w }
-            | None -> conf
-          in
-          Sender_base.start (L2dct.create net ~flow ~conf ~on_complete ())
-      | Pfabric ->
-          (* Table 3 verbatim: flows start at a 38-segment window (line rate
-             for over an RTT on every topology evaluated). *)
-          Sender_base.start
-            (Pfabric_host.create net ~flow
-               ~conf:(Pfabric_host.conf ~init_rtt ~init_cwnd:38. ())
-               ~on_complete ())
-      | Pdq ->
-          let arbiters =
-            pdq_arbiters_for ~flow:id spec.Scenario.src spec.Scenario.dst
-          in
-          Pdq.start
-            (Pdq.create net ~flow ~arbiters ~rtt:init_rtt
-               ~conf:(Pdq.conf ~init_rtt ()) ~on_complete ())
-      | D3 ->
-          let routers =
-            d3_routers_for ~flow:id spec.Scenario.src spec.Scenario.dst
-          in
-          D3.start
-            (D3.create net ~flow ~routers ~rtt:init_rtt
-               ~conf:(D3.conf ~init_rtt ()) ~on_complete ())
-      | Pase cfg ->
-          let h = match hierarchy with Some h -> h | None -> assert false in
-          (* Task-aware scheduling: all flows of a task share one criterion,
-             tasks served in arrival order (task ids are assigned in arrival
-             order by the scenario). *)
-          let criterion_override =
-            match (cfg.Config.scheduling, spec.Scenario.task) with
-            | Config.Task_aware, Some task -> Some (fun () -> float_of_int task)
-            | (Config.Task_aware | Config.Srpt | Config.Edf), _ -> None
-          in
-          Pase_host.start
-            (Pase_host.create net h ~flow ~cfg ~rtt:init_rtt
-               ~nic_bps:topo.Topology.edge_rate_bps ?criterion_override
-               ~on_complete ())
+      start_sender spec ~flow ~init_rtt ~init_cwnd ~on_complete
     in
     match fluid_tier with
     | Some fl when fluid_tag ->
@@ -589,7 +585,7 @@ let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
   in
   Engine.run ~until:horizon engine;
   (match sampler with Some s -> Sampler.stop s | None -> ());
-  (match hierarchy with Some h -> Hierarchy.stop h | None -> ());
+  control.stop ();
   (match fault_plane with Some fp -> Fault.finish fp | None -> ());
   let end_time = Engine.now engine in
   (* Flows still open at the horizon are censored. Sorted traversal: the
@@ -663,7 +659,7 @@ let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
         in
         Some
           {
-            hybrid_on;
+            hybrid_on = Option.is_some fluid_tier;
             threshold_bytes = h.fluid_threshold;
             fluid_flows = fs.Fluid.admitted;
             fluid_demotions = fs.Fluid.demotions;

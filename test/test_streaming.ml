@@ -1,8 +1,7 @@
 (* Streaming statistics: Welford exactness and merge, t-digest rank-error
    bound (property-tested over seeded samples), reservoir determinism,
    streaming-vs-exact equivalence on real runner output, edge cases
-   (all-censored, single record), and deterministic sketch merging whether
-   the per-job collections came from a serial loop or a fork pool. *)
+   (all-censored, single record), and deterministic sketch merging. *)
 
 let seeded_sample ~seed ~n sampler =
   let rng = Rng.create seed in
@@ -324,35 +323,6 @@ let test_fct_merge_streaming () =
     (Fct.percentile m1 99. = Fct.percentile m2 99.
     && Fct.afct m1 = Fct.afct m2)
 
-(* ---- serial vs forked sweep ---------------------------------------------- *)
-
-let test_parallel_streaming_determinism () =
-  let jobs =
-    List.map
-      (fun seed ->
-        ( Runner.Dctcp,
-          Scenario.intra_rack_medium ~num_flows:120 ~seed ~load:0.5 () ))
-      [ 11; 12; 13; 14 ]
-  in
-  let serial =
-    Parallel.run_jobs ~jobs:1 ~cache_dir:None ~stats:`Streaming jobs
-  in
-  let forked =
-    Parallel.run_jobs ~jobs:4 ~cache_dir:None ~stats:`Streaming jobs
-  in
-  List.iteri
-    (fun i (s, f) ->
-      Alcotest.(check string)
-        (Printf.sprintf "job %d: serial and forked results byte-identical" i)
-        (Result_codec.encode s) (Result_codec.encode f))
-    (List.combine serial forked);
-  let ms = Parallel.merged_fct serial and mf = Parallel.merged_fct forked in
-  Alcotest.(check int) "merged count" (Fct.count ms) (Fct.count mf);
-  Alcotest.(check bool) "merged sketch identical regardless of fork order" true
-    (Fct.percentile ms 99. = Fct.percentile mf 99.
-    && Fct.afct ms = Fct.afct mf
-    && Fct.cdf ~points:20 ms = Fct.cdf ~points:20 mf)
-
 let suite =
   [
     Alcotest.test_case "welford exact" `Quick test_welford_exact;
@@ -379,6 +349,4 @@ let suite =
     Alcotest.test_case "fct merge mixed raises" `Quick
       test_fct_merge_mixed_raises;
     Alcotest.test_case "fct merge streaming" `Quick test_fct_merge_streaming;
-    Alcotest.test_case "parallel streaming determinism" `Quick
-      test_parallel_streaming_determinism;
   ]
