@@ -1,6 +1,6 @@
 (* Flow-level delay attribution: the exact-sum invariant across protocols,
-   aggregate totals against the AFCT, the fabric sampler's determinism and
-   bounds, and the report explain layer. *)
+   aggregate totals against the AFCT, serial/fork byte identity, the fabric
+   sampler's determinism and bounds, and the report explain layer. *)
 
 let fat_tree protocol ~on_attrib =
   Runner.run ~attrib:true ~on_attrib protocol
@@ -51,6 +51,26 @@ let test_exact_sum_across_protocols () =
         (Float.abs (afct_from_agg -. r.Runner.afct)
         <= 1e-9 *. Float.max 1e-12 r.Runner.afct))
     [ ("dctcp", Runner.Dctcp); ("pfabric", Runner.Pfabric); ("pase", Runner.pase) ]
+
+(* Attribution does not depend on the process computing it: the encoded
+   result of a forked child equals the serial in-process one, aggregate
+   included. *)
+let test_fork_matches_serial () =
+  List.iteri
+    (fun i p ->
+      let run () =
+        Runner.run ~attrib:true p
+          (Scenario.fat_tree_uniform ~k:4 ~num_flows:80 ~seed:2 ~load:0.5 ())
+      in
+      let s = run () and f = Forked.run run in
+      Alcotest.(check string)
+        (Printf.sprintf "job %d byte-identical" i)
+        (Result_codec.encode s) (Result_codec.encode f);
+      Alcotest.(check bool)
+        (Printf.sprintf "job %d carries aggregate" i)
+        true
+        (s.Runner.attrib <> None))
+    [ Runner.Dctcp; Runner.Pfabric; Runner.pase ]
 
 (* Explicit-rate protocols wait for grants: the wait shows up as arb_wait,
    and nowhere else claims it. *)
@@ -279,6 +299,7 @@ let suite =
   [
     Alcotest.test_case "exact sum across protocols" `Slow
       test_exact_sum_across_protocols;
+    Alcotest.test_case "fork matches serial" `Slow test_fork_matches_serial;
     Alcotest.test_case "pdq arb wait positive" `Quick
       test_pdq_arb_wait_positive;
     Alcotest.test_case "off by default" `Quick test_off_by_default;

@@ -1,6 +1,6 @@
 (* Fault-injection plane: schedule parsing and validation, link blackholing
-   with RTO-driven recovery, chunked faulted runs matching one-shot ones
-   (rerun and fork identity are rows of the determinism table),
+   with RTO-driven recovery, faulted runs matching across the fork pool and
+   the chunked engine (rerun identity is a row of the determinism table),
    arbitrator crash-and-restart with bounded AFCT,
    and control-loss soft-state expiry followed by re-request rebuild. *)
 
@@ -102,6 +102,26 @@ let test_schedule_changes_the_run () =
   Alcotest.(check int) "fault-free run blackholes nothing" 0
     r0.Runner.blackholed_pkts;
   Alcotest.(check bool) "schedule changes the run" true (encode r0 <> encode r1)
+
+(* Every protocol family with fault hooks (PASE hierarchy, PDQ arbiters, D3
+   routers, plain end-host DCTCP) must replay identically through the fork
+   pool. *)
+let test_parallel_matches_serial_faulted () =
+  let spec = flap_spec ^ ";" ^ crash_spec in
+  let grid =
+    List.map
+      (fun p -> (p, faulted ~flows:40 ~spec ()))
+      [ Runner.pase; Runner.Dctcp; Runner.Pdq; Runner.D3 ]
+  in
+  let serial = Parallel.run_jobs ~jobs:1 ~cache_dir:None grid in
+  let forked = Parallel.run_jobs ~jobs:3 ~cache_dir:None grid in
+  List.iteri
+    (fun i (a, b) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "faulted result %d identical" i)
+        true
+        (encode a = encode b))
+    (List.combine serial forked)
 
 (* Chunked [Engine.run ~until] (with chunk boundaries landing exactly on
    fault times) applies the same transitions at the same clock readings as a
@@ -443,6 +463,8 @@ let suite =
       test_flap_blackholes_and_recovers;
     Alcotest.test_case "schedule changes the run" `Quick
       test_schedule_changes_the_run;
+    Alcotest.test_case "parallel matches serial (faulted)" `Slow
+      test_parallel_matches_serial_faulted;
     Alcotest.test_case "chunked matches one-shot" `Quick
       test_chunked_matches_one_shot;
     Alcotest.test_case "crash recovery bounded" `Slow test_crash_recovery_bounded;

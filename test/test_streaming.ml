@@ -1,7 +1,8 @@
 (* Streaming statistics: Welford exactness and merge, t-digest rank-error
    bound (property-tested over seeded samples), reservoir determinism,
    streaming-vs-exact equivalence on real runner output, edge cases
-   (all-censored, single record), and deterministic sketch merging. *)
+   (all-censored, single record), and deterministic sketch merging whether
+   the per-job collections came from this process or forked children. *)
 
 let seeded_sample ~seed ~n sampler =
   let rng = Rng.create seed in
@@ -323,6 +324,38 @@ let test_fct_merge_streaming () =
     (Fct.percentile m1 99. = Fct.percentile m2 99.
     && Fct.afct m1 = Fct.afct m2)
 
+(* ---- serial vs forked runs ----------------------------------------------- *)
+
+let test_parallel_streaming_determinism () =
+  let runs =
+    List.map
+      (fun seed () ->
+        Runner.run ~stats:`Streaming Runner.Dctcp
+          (Scenario.intra_rack_medium ~num_flows:120 ~seed ~load:0.5 ()))
+      [ 11; 12; 13; 14 ]
+  in
+  let serial = List.map (fun run -> run ()) runs in
+  let forked = List.map Forked.run runs in
+  List.iteri
+    (fun i (s, f) ->
+      Alcotest.(check string)
+        (Printf.sprintf "job %d: serial and forked results byte-identical" i)
+        (Result_codec.encode s) (Result_codec.encode f))
+    (List.combine serial forked);
+  let merged = function
+    | [] -> assert false
+    | (r : Runner.result) :: rest ->
+        List.fold_left
+          (fun acc (r : Runner.result) -> Fct.merge acc r.Runner.fct)
+          r.Runner.fct rest
+  in
+  let ms = merged serial and mf = merged forked in
+  Alcotest.(check int) "merged count" (Fct.count ms) (Fct.count mf);
+  Alcotest.(check bool) "merged sketch identical whichever process ran it" true
+    (Fct.percentile ms 99. = Fct.percentile mf 99.
+    && Fct.afct ms = Fct.afct mf
+    && Fct.cdf ~points:20 ms = Fct.cdf ~points:20 mf)
+
 let suite =
   [
     Alcotest.test_case "welford exact" `Quick test_welford_exact;
@@ -349,4 +382,6 @@ let suite =
     Alcotest.test_case "fct merge mixed raises" `Quick
       test_fct_merge_mixed_raises;
     Alcotest.test_case "fct merge streaming" `Quick test_fct_merge_streaming;
+    Alcotest.test_case "parallel streaming determinism" `Quick
+      test_parallel_streaming_determinism;
   ]
