@@ -579,9 +579,17 @@ type hooks = {
   on_record : (Fct.record -> unit) option;
   on_attrib : (size_pkts:int -> Delay.record -> unit) option;
   series : (Series.store * float) option;
+  trace : Trace.t;
 }
 
-let no_hooks = { stats = `Exact; on_record = None; on_attrib = None; series = None }
+let no_hooks =
+  {
+    stats = `Exact;
+    on_record = None;
+    on_attrib = None;
+    series = None;
+    trace = Trace.off;
+  }
 
 (* A file the run writes besides its result: --trace, --stream-results,
    --attrib or --series. [attach] wires the opened file into the run and
@@ -617,25 +625,17 @@ let trace_term =
     let attach oc hooks =
       (* A bounded ring keeps the tail in memory and writes it out once the
          run is over; otherwise events stream straight to the file. *)
-      let ring =
-        match limit with
-        | None ->
-            Trace.attach
-              (match format with
-              | `Jsonl -> Trace.jsonl_sink oc
-              | `Text -> Trace.text_sink oc);
-            None
-        | Some capacity ->
+      let ring, sink =
+        match (limit, format) with
+        | None, `Jsonl -> (None, Trace.jsonl_sink oc)
+        | None, `Text -> (None, Trace.text_sink oc)
+        | Some capacity, _ ->
             let ring, sink = Trace.ring_sink ~capacity in
-            Trace.attach sink;
-            Some ring
+            (Some ring, sink)
       in
-      Trace.set_kind_filter kinds;
-      Trace.set_flow_filter flows;
-      Trace.set_link_filter links;
-      ( hooks,
+      let bus = Trace.create ?kinds ?flows ?links [ sink ] in
+      ( { hooks with trace = bus },
         fun _ ->
-          let emitted = Trace.emitted () in
           let dropped =
             match ring with
             | None -> 0
@@ -652,9 +652,8 @@ let trace_term =
                   (Trace.ring_contents ring);
                 Trace.ring_dropped ring
           in
-          Trace.reset ();
           [
-            ("trace_events", string_of_int emitted);
+            ("trace_events", string_of_int (Trace.emitted bus));
             ("trace_dropped_events", string_of_int dropped);
           ] )
     in
@@ -770,7 +769,8 @@ let run_cmd =
           let r =
             Runner.run ~profile ~stats:hooks.stats ?on_record:hooks.on_record
               ~attrib:(hooks.on_attrib <> None) ?on_attrib:hooks.on_attrib
-              ?series:hooks.series ?hybrid:setup.hybrid proto scn
+              ?series:hooks.series ?hybrid:setup.hybrid ~trace:hooks.trace
+              proto scn
           in
           ( r,
             List.concat_map

@@ -34,6 +34,7 @@ type t = {
   mutable top_counts : int array;  (* per-queue flow counts from last pass *)
   link : int * int;  (* the (real or virtual) link arbitrated, for tracing *)
   owner : int;  (* node id of the arbitrating delegate, -1 if anonymous *)
+  trace : Trace.t;
 }
 
 let dummy =
@@ -44,7 +45,8 @@ let dummy =
     gone = true;
   }
 
-let create ?(link = (-1, -1)) ?(owner = -1) ~capacity_bps () =
+let create ?(link = (-1, -1)) ?(owner = -1) ?(trace = Trace.off) ~capacity_bps
+    () =
   if capacity_bps <= 0. then invalid_arg "Arbitrator.create: capacity";
   {
     capacity_bps;
@@ -58,6 +60,7 @@ let create ?(link = (-1, -1)) ?(owner = -1) ~capacity_bps () =
     top_counts = [||];
     link;
     owner;
+    trace;
   }
 
 let capacity_bps t = t.capacity_bps
@@ -185,8 +188,8 @@ let ensure_scratch t n =
   end
 
 let emit_arb t ~top_flows =
-  if Trace.on () then
-    Trace.emit
+  if Trace.on t.trace then
+    Trace.emit t.trace
       (Trace.Arb { link = t.link; delegate = t.owner; flows = flows t; top_flows })
 
 let arbitrate t ~num_queues ~base_rate_bps =
@@ -212,8 +215,8 @@ let arbitrate t ~num_queues ~base_rate_bps =
       e.queue <- q;
       e.st.rref_bps <- r;
       t.top_counts.(q) <- t.top_counts.(q) + 1;
-      if Trace.on () then
-        Trace.emit
+      if Trace.on t.trace then
+        Trace.emit t.trace
           (Trace.Arb_alloc
              { link = t.link; delegate = t.owner; flow = e.flow; queue = q; rref_bps = r })
     done;

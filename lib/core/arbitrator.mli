@@ -4,10 +4,13 @@
 
 type t
 
-val create : ?link:int * int -> ?owner:int -> capacity_bps:float -> unit -> t
+val create :
+  ?link:int * int -> ?owner:int -> ?trace:Trace.t -> capacity_bps:float ->
+  unit -> t
 (** [link] names the (real or virtual) link being arbitrated and [owner]
     the arbitrating delegate's node id; both only feed trace events
-    ([(-1, -1)] / [-1] when unknown). *)
+    ([(-1, -1)] / [-1] when unknown) on the run's bus [trace] (default
+    {!Trace.off}). *)
 
 (** Current capacity (changes for delegated virtual links). *)
 val capacity_bps : t -> float

@@ -146,6 +146,7 @@ let real_arb t a b =
   | None ->
       let arb =
         Arbitrator.create ~link:(a, b) ~owner:a
+          ~trace:t.counters.Counters.trace
           ~capacity_bps:(link_rate t a b ~what:"link") ()
       in
       Id_reg.add t.all_arbs key arb;
@@ -174,7 +175,7 @@ let virtual_arb t (a, b) tor =
       let members = 1 + Array.length group.members in
       let arb =
         Arbitrator.create ~link:(a, b) ~owner:tor
-          ~capacity_bps:
+          ~trace:t.counters.Counters.trace ~capacity_bps:
             (Float.min group.rate_bps
                (group.rate_bps /. float_of_int members *. overbook))
           ()
@@ -210,8 +211,10 @@ let rebalance t =
         let share = g.rate_bps *. frac *. overbook in
         let share = Float.min g.rate_bps share in
         Arbitrator.set_capacity arb share;
-        if Trace.on () then
-          Trace.emit (Trace.Delegate { parent = g.parent; tor; share_bps = share });
+        let trace = t.counters.Counters.trace in
+        if Trace.on trace then
+          Trace.emit trace
+            (Trace.Delegate { parent = g.parent; tor; share_bps = share });
         (* Aggregate report from child to parent and response. *)
         t.counters.Counters.ctrl_msgs <- t.counters.Counters.ctrl_msgs + 2
       done
@@ -368,8 +371,9 @@ let refresh t fs ~now =
     end
     else begin
       t.counters.Counters.ctrl_msgs <- t.counters.Counters.ctrl_msgs + ct.msgs;
-      if ct.msgs > 0 && Trace.on () then
-        Trace.emit (Trace.Ctrl { flow; msgs = ct.msgs });
+      let trace = t.counters.Counters.trace in
+      if ct.msgs > 0 && Trace.on trace then
+        Trace.emit trace (Trace.Ctrl { flow; msgs = ct.msgs });
       if ct.msgs > 0 then fs.remote_tried <- true;
       let any_live = ref false in
       for j = 0 to Array.length arbs - 1 do

@@ -54,8 +54,8 @@ let apply_window_policy t =
 let really_apply t (q, rref) =
   t.queue <- q;
   t.rref_bps <- rref;
-  if Trace.on () then
-    Trace.emit
+  if Trace.on (Sender_base.trace t.sender) then
+    Trace.emit (Sender_base.trace t.sender)
       (Trace.Queue_assign
          {
            flow = (Sender_base.flow t.sender).Flow.id;

@@ -12,9 +12,11 @@ type t = {
   mutable ctrl_lost : int;
   mutable stray_pkts : int;
   mutable blackholed_pkts : int;
+  trace : Trace.t;
+  delay : Delay.t;
 }
 
-let create () =
+let create ?(trace = Trace.off) ?(delay = Delay.off) () =
   {
     enqueued_pkts = 0;
     enqueued_bytes = 0;
@@ -29,22 +31,9 @@ let create () =
     ctrl_lost = 0;
     stray_pkts = 0;
     blackholed_pkts = 0;
+    trace;
+    delay;
   }
-
-let reset t =
-  t.enqueued_pkts <- 0;
-  t.enqueued_bytes <- 0;
-  t.dequeued_pkts <- 0;
-  t.dequeued_bytes <- 0;
-  t.dropped_pkts <- 0;
-  t.dropped_bytes <- 0;
-  t.dropped_data_pkts <- 0;
-  t.ecn_marked_pkts <- 0;
-  t.delivered_pkts <- 0;
-  t.ctrl_msgs <- 0;
-  t.ctrl_lost <- 0;
-  t.stray_pkts <- 0;
-  t.blackholed_pkts <- 0
 
 let loss_rate t =
   let attempts = t.dropped_pkts + t.enqueued_pkts in

@@ -1,4 +1,5 @@
-(** Global per-simulation counters used for loss-rate and overhead metrics. *)
+(** Per-run counters used for loss-rate and overhead metrics, plus the
+    run's observers, which every emitting layer reaches through them. *)
 
 type t = {
   mutable enqueued_pkts : int;
@@ -17,10 +18,12 @@ type t = {
   mutable blackholed_pkts : int;
       (** packets lost to a down link (in flight at failure, or transmitted
           into the outage) *)
+  trace : Trace.t;  (** the run's trace bus *)
+  delay : Delay.t;  (** the run's delay-attribution tables *)
 }
 
-val create : unit -> t
-val reset : t -> unit
+(** Zeroed counters; [create ()] is an unobserved run. *)
+val create : ?trace:Trace.t -> ?delay:Delay.t -> unit -> t
 
 (** Fraction of enqueued data-plane packets that were dropped, in [0, 1]. *)
 val loss_rate : t -> float

@@ -1,8 +1,9 @@
 (* Per-flow delay attribution.
 
-   Like Trace, this is a process-global service guarded by a cheap [on ()]
-   boolean so the instrumentation in the data path and the transports costs
-   one branch when attribution is off. While a flow is live we run a small
+   Like a Trace bus, the tables are a value owned by one run and reached
+   through its counters; the instrumentation in the data path and the
+   transports guards on a cheap [on d] so it costs one branch when
+   attribution is off. While a flow is live we run a small
    mode machine over wall-to-wall sim time:
 
      Net          — data is in flight; time accrues to network service
@@ -56,42 +57,43 @@ type record = {
   timeouts : int;
 }
 
-let enabled = ref false
-let on () = !enabled
-let clock : (unit -> float) ref = ref (fun () -> 0.)
-let set_clock f = clock := f
-let now () = !clock ()
-let live : (int, state) Hashtbl.t = Hashtbl.create 256
-let finished : (int, record) Hashtbl.t = Hashtbl.create 256
+type tables = {
+  engine : Engine.t;
+  live : (int, state) Hashtbl.t;
+  finished : (int, record) Hashtbl.t;
+}
 
-let reset () =
-  Hashtbl.reset live;
-  Hashtbl.reset finished
+type t = Off | On of tables
 
-let enable () =
-  enabled := true;
-  reset ()
+let off = Off
 
-let disable () =
-  enabled := false;
-  reset ()
+let create engine =
+  On { engine; live = Hashtbl.create 256; finished = Hashtbl.create 256 }
 
-let flow_start ~flow ~now ~gated =
-  let st =
-    {
-      mode = (if gated then Blocked_gate else Blocked_loss);
-      mode_since = now;
-      last_activity = now;
-      q_sum = 0.;
-      s_sum = 0.;
-      p_sum = 0.;
-      net = 0.;
-      arb = 0.;
-      rto = 0.;
-      timeouts = 0;
-    }
-  in
-  Hashtbl.replace live flow st
+let on = function Off -> false | On _ -> true
+let now = function Off -> 0. | On d -> Engine.now d.engine
+
+(* A flow the run never registered: every hook is a no-op for it. *)
+let find d flow =
+  match d with Off -> None | On d -> Hashtbl.find_opt d.live flow
+
+let flow_start d ~flow ~now ~gated =
+  match d with
+  | Off -> ()
+  | On d ->
+      Hashtbl.replace d.live flow
+        {
+          mode = (if gated then Blocked_gate else Blocked_loss);
+          mode_since = now;
+          last_activity = now;
+          q_sum = 0.;
+          s_sum = 0.;
+          p_sum = 0.;
+          net = 0.;
+          arb = 0.;
+          rto = 0.;
+          timeouts = 0;
+        }
 
 (* Close the current mode interval at time [t]. *)
 let settle st t =
@@ -102,8 +104,8 @@ let settle st t =
   | Blocked_loss -> st.rto <- st.rto +. d);
   st.mode_since <- t
 
-let on_send ~flow ~now =
-  match Hashtbl.find_opt live flow with
+let on_send d ~flow ~now =
+  match find d flow with
   | None -> ()
   | Some st ->
       if st.mode <> Net then begin
@@ -112,13 +114,13 @@ let on_send ~flow ~now =
       end;
       st.last_activity <- now
 
-let on_activity ~flow ~now =
-  match Hashtbl.find_opt live flow with
+let on_activity d ~flow ~now =
+  match find d flow with
   | None -> ()
   | Some st -> st.last_activity <- now
 
-let before_timeout ~flow ~now =
-  match Hashtbl.find_opt live flow with
+let before_timeout d ~flow ~now =
+  match find d flow with
   | None -> ()
   | Some st -> (
       st.timeouts <- st.timeouts + 1;
@@ -141,8 +143,8 @@ let before_timeout ~flow ~now =
           st.mode <- Blocked_loss
       | Blocked_loss -> settle st now)
 
-let sync ~flow ~inflight ~gated ~now =
-  match Hashtbl.find_opt live flow with
+let sync d ~flow ~inflight ~gated ~now =
+  match find d flow with
   | None -> ()
   | Some st ->
       let m =
@@ -160,8 +162,8 @@ let sync ~flow ~inflight ~gated ~now =
    (Link.prop_done) instead of separate queue/serialization/propagation
    hooks at dequeue and tx completion — the hot path pays one guarded call
    per hop, not three. *)
-let hop ~flow ~queue ~ser ~prop =
-  match Hashtbl.find_opt live flow with
+let hop d ~flow ~queue ~ser ~prop =
+  match find d flow with
   | None -> ()
   | Some st ->
       st.q_sum <- st.q_sum +. queue;
@@ -186,12 +188,12 @@ let residual ~partial ~fct =
   done;
   if partial +. !q = fct then Some !q else None
 
-let complete ~flow ~now ~fct =
-  match Hashtbl.find_opt live flow with
-  | None -> ()
-  | Some st ->
+let complete d ~flow ~now ~fct =
+  match (d, find d flow) with
+  | Off, _ | _, None -> ()
+  | On d, Some st ->
       settle st now;
-      Hashtbl.remove live flow;
+      Hashtbl.remove d.live flow;
       let measured = st.q_sum +. st.s_sum +. st.p_sum in
       let ser, prop =
         if measured > 0. then
@@ -225,18 +227,22 @@ let complete ~flow ~now ~fct =
               timeouts = st.timeouts;
             }
       in
-      Hashtbl.replace finished flow r
+      Hashtbl.replace d.finished flow r
 
-let discard ~flow =
-  Hashtbl.remove live flow;
-  Hashtbl.remove finished flow
+let discard d ~flow =
+  match d with
+  | Off -> ()
+  | On d ->
+      Hashtbl.remove d.live flow;
+      Hashtbl.remove d.finished flow
 
-let take ~flow =
-  match Hashtbl.find_opt finished flow with
-  | None -> None
-  | Some r ->
-      Hashtbl.remove finished flow;
-      Some r
+let take d ~flow =
+  match d with
+  | Off -> None
+  | On d ->
+      let r = Hashtbl.find_opt d.finished flow in
+      Hashtbl.remove d.finished flow;
+      r
 
 let check_sum r =
   r.serialization +. r.propagation +. r.arb_wait +. r.rto_stall +. r.queueing

@@ -1,7 +1,9 @@
 (** Per-flow delay attribution.
 
-    A process-global service (like {!Trace}) that decomposes each completed
-    flow's FCT into five components with an exact-sum guarantee:
+    Per-run state (like a {!Trace} bus): a run that attributes builds one
+    [t] from its engine and its {!Counters.t} carries it to the transports
+    and the data path. It decomposes each completed flow's FCT into five
+    components with an exact-sum guarantee:
 
     {v
     serialization +. propagation +. arb_wait +. rto_stall +. queueing = fct
@@ -27,57 +29,55 @@ type record = {
 
 (** {1 Lifecycle} *)
 
-val on : unit -> bool
-(** Cheap guard; all instrumentation must be dominated by [on () = true]. *)
+type t
+(** One run's live and finished attribution tables. *)
 
-val enable : unit -> unit
-(** Turn attribution on and clear all per-flow state. *)
+val off : t
+(** Attribution off: every hook is a no-op and {!take} finds nothing. *)
 
-val disable : unit -> unit
-(** Turn attribution off and clear all per-flow state. *)
+val create : Engine.t -> t
+(** Empty tables for a run on this engine, which {!now} reads. *)
 
-val reset : unit -> unit
-(** Clear per-flow state without changing the on/off switch. *)
+val on : t -> bool
+(** Cheap guard; all instrumentation must be dominated by [on d = true]. *)
 
-val set_clock : (unit -> float) -> unit
-(** Install the sim-time source; [Net.create] points this at its engine. *)
-
-val now : unit -> float
+val now : t -> float
+(** The run's sim time ([0.] when off). *)
 
 (** {1 Transport hooks} (all no-ops for unknown flow ids) *)
 
-val flow_start : flow:int -> now:float -> gated:bool -> unit
+val flow_start : t -> flow:int -> now:float -> gated:bool -> unit
 (** Register a flow at its start time. [gated] tells whether the transport
     is blocked on arbitration/pacing before the first send. *)
 
-val on_send : flow:int -> now:float -> unit
+val on_send : t -> flow:int -> now:float -> unit
 (** A data segment entered the network: switch to in-flight mode. *)
 
-val on_activity : flow:int -> now:float -> unit
+val on_activity : t -> flow:int -> now:float -> unit
 (** Any packet of the flow arrived back at the sender (ack/probe-ack);
     advances the last-activity watermark used by {!before_timeout}. *)
 
-val before_timeout : flow:int -> now:float -> unit
+val before_timeout : t -> flow:int -> now:float -> unit
 (** Called when the retransmission timer fires, before recovery: closes the
     current interval, retroactively reclassifying the silent tail of an
     in-flight period as RTO stall. *)
 
-val sync : flow:int -> inflight:int -> gated:bool -> now:float -> unit
+val sync : t -> flow:int -> inflight:int -> gated:bool -> now:float -> unit
 (** Reconcile the mode with transport state after an ack or timeout has
     been fully processed. *)
 
-val complete : flow:int -> now:float -> fct:float -> unit
+val complete : t -> flow:int -> now:float -> fct:float -> unit
 (** Finalize the flow's record; fetch it with {!take}. *)
 
-val discard : flow:int -> unit
+val discard : t -> flow:int -> unit
 (** Drop all state for a cancelled flow. *)
 
-val take : flow:int -> record option
+val take : t -> flow:int -> record option
 (** Remove and return the finalized record of a completed flow. *)
 
 (** {1 Data-path hook} (no-op for unknown flow ids) *)
 
-val hop : flow:int -> queue:float -> ser:float -> prop:float -> unit
+val hop : t -> flow:int -> queue:float -> ser:float -> prop:float -> unit
 (** One delivered hop's measured components — qdisc residence, link
     transmit time, wire delay — accumulated with a single lookup. Called
     once per hop at delivery; packets that are dropped or blackholed

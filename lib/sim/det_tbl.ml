@@ -8,7 +8,6 @@ let to_list ?(cmp = Stdlib.compare) tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.stable_sort (fun (a, _) (b, _) -> cmp a b)
 
-let keys ?cmp tbl = List.map fst (to_list ?cmp tbl)
 let iter ?cmp f tbl = List.iter (fun (k, v) -> f k v) (to_list ?cmp tbl)
 
 let fold ?cmp f tbl init =

@@ -18,9 +18,6 @@
     (default: [Stdlib.compare]). *)
 val to_list : ?cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
 
-(** [keys tbl] is the keys of [tbl] in sorted order. *)
-val keys : ?cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
-
 (** [iter f tbl] applies [f] to every binding, in sorted key order. *)
 val iter : ?cmp:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
 

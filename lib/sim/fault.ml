@@ -161,7 +161,9 @@ let set_direction t a b up =
       if Link.is_up l <> up then begin
         Link.set_up l up;
         t.stats.transitions <- t.stats.transitions + 1;
-        if Trace.on () then Trace.emit (Trace.Link_state { link = (a, b); up })
+        let trace = (Net.counters t.topo.Topology.net).Counters.trace in
+        if Trace.on trace then
+          Trace.emit trace (Trace.Link_state { link = (a, b); up })
       end
 
 let set_link t a b up =

@@ -32,7 +32,9 @@ type t = {
          [standing_s] moves between fluid recomputes *)
   delay_s : float;
   deliver : Packet.t -> unit;
-  counters : Counters.t option;
+  counters : Counters.t;
+  trace : Trace.t;  (* [counters]' observers, one load closer per hop *)
+  delay : Delay.t;
   mutable busy : bool;
   mutable up : bool;
   mutable tx_doomed : bool;  (* packet on the wire head when the link died *)
@@ -48,12 +50,10 @@ type t = {
 
 let blackhole t pkt =
   t.blackholed <- t.blackholed + 1;
-  (match t.counters with
-  | Some c -> c.Counters.blackholed_pkts <- c.Counters.blackholed_pkts + 1
-  | None -> ());
-  if Trace.on () then begin
+  t.counters.blackholed_pkts <- t.counters.blackholed_pkts + 1;
+  if Trace.on t.trace then begin
     let l = t.qdisc.Queue_disc.loc in
-    Trace.emit
+    Trace.emit t.trace
       (Trace.Blackhole { pkt; link = (l.Trace.from_node, l.Trace.to_node) })
   end
   else Packet.free pkt
@@ -72,7 +72,8 @@ let transmit_next t =
         in
         Engine.schedule ~label:"link-tx" t.engine ~delay:tx_time t.tx_done
 
-let create engine ~qdisc ~rate_bps ~delay_s ?counters ~deliver () =
+let create engine ~qdisc ~rate_bps ~delay_s ?(counters = Counters.create ())
+    ~deliver () =
   if rate_bps <= 0. then invalid_arg "Link.create: rate must be positive";
   if delay_s < 0. then invalid_arg "Link.create: negative delay";
   let dummy = Packet.dummy () in
@@ -84,6 +85,8 @@ let create engine ~qdisc ~rate_bps ~delay_s ?counters ~deliver () =
       delay_s;
       deliver;
       counters;
+      trace = counters.Counters.trace;
+      delay = counters.Counters.delay;
       fluid_bps = 0.;
       standing_s = 0.;
       last_arrival = 0.;
@@ -108,7 +111,7 @@ let create engine ~qdisc ~rate_bps ~delay_s ?counters ~deliver () =
         blackhole t pkt
       end
       else begin
-        (if Delay.on () then
+        (if Delay.on t.delay then
            (* The whole hop's attribution in one call: arrival time minus
               the propagation and (current-rate) serialization components is
               the qdisc residence, measured from the [enq_at] stamp. Only
@@ -117,9 +120,9 @@ let create engine ~qdisc ~rate_bps ~delay_s ?counters ~deliver () =
              float_of_int (8 * pkt.Packet.size) /. (t.rate_bps -. t.fluid_bps)
            in
            let queue =
-             Delay.now () -. t.delay_s -. ser -. pkt.Packet.enq_at
+             Engine.now t.engine -. t.delay_s -. ser -. pkt.Packet.enq_at
            in
-           Delay.hop ~flow:pkt.Packet.flow
+           Delay.hop t.delay ~flow:pkt.Packet.flow
              ~queue:(Float.max 0. queue)
              ~ser ~prop:t.delay_s);
         t.deliver pkt
@@ -137,9 +140,9 @@ let create engine ~qdisc ~rate_bps ~delay_s ?counters ~deliver () =
       end
       else begin
         t.bytes_txed <- t.bytes_txed + pkt.Packet.size;
-        (if Trace.on () then
+        (if Trace.on t.trace then
            let l = t.qdisc.Queue_disc.loc in
-           Trace.emit
+           Trace.emit t.trace
              (Trace.Tx { pkt; link = (l.Trace.from_node, l.Trace.to_node) }));
         (* Propagation: the head bit pipeline is folded into arrival time;
            the transmitter is free as soon as the last bit leaves. *)

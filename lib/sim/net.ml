@@ -16,6 +16,7 @@ let handler_key ~host ~flow = (flow lsl node_bits) lor host
 type t = {
   engine : Engine.t;
   counters : Counters.t;
+  trace : Trace.t;  (* [counters.trace], one load closer to the hot path *)
   mutable kinds : node_kind array;
   mutable n : int;
   adjacency : (int, (int * Link.t) list ref) Hashtbl.t;
@@ -30,11 +31,10 @@ type t = {
 }
 
 let create engine counters =
-  Trace.set_clock (fun () -> Engine.now engine);
-  Delay.set_clock (fun () -> Engine.now engine);
   {
     engine;
     counters;
+    trace = counters.Counters.trace;
     kinds = Array.make 16 Host;
     n = 0;
     adjacency = Hashtbl.create 64;
@@ -87,7 +87,7 @@ let pick links ~flow node =
 
 let stray t pkt node =
   t.counters.Counters.stray_pkts <- t.counters.Counters.stray_pkts + 1;
-  if Trace.on () then Trace.emit (Trace.Stray { pkt; node })
+  if Trace.on t.trace then Trace.emit t.trace (Trace.Stray { pkt; node })
 
 (* Delivery needs routing, which needs links, which deliver: the links'
    [deliver] closures call back into [deliver], which routes through the
@@ -95,7 +95,7 @@ let stray t pkt node =
 let rec deliver t pkt node =
   if node = pkt.Packet.dst then begin
     t.counters.Counters.delivered_pkts <- t.counters.Counters.delivered_pkts + 1;
-    if Trace.on () then Trace.emit (Trace.Rx { pkt; node });
+    if Trace.on t.trace then Trace.emit t.trace (Trace.Rx { pkt; node });
     (match
        Handlers.find t.handlers (handler_key ~host:node ~flow:pkt.Packet.flow)
      with
@@ -104,7 +104,7 @@ let rec deliver t pkt node =
     (* The packet is done: handlers read it synchronously and never retain
        it (see Packet.free). Recycling is off under tracing because sinks
        may keep references past delivery. *)
-    if not (Trace.on ()) then Packet.free pkt
+    if not (Trace.on t.trace) then Packet.free pkt
   end
   else forward t pkt node
 
@@ -112,7 +112,7 @@ and forward t pkt node =
   let links = t.next_links.(node).(pkt.Packet.dst) in
   if Array.length links = 0 then begin
     stray t pkt node;
-    if not (Trace.on ()) then Packet.free pkt
+    if not (Trace.on t.trace) then Packet.free pkt
   end
   else Link.send (pick links ~flow:pkt.Packet.flow node) pkt
 

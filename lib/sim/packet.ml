@@ -22,17 +22,18 @@ type t = {
 let header_bytes = 40
 let ack_bytes = 40
 let probe_bytes = 40
-let ctrl_bytes = 64
 
+(* lint: allow no-global-state — packet ids; per-run once the benchmark freeze lifts (ROADMAP item 7) *)
 let next_id = ref 0
 
 (* Free list of dead packets. [make] always reinitializes every field (with
    a fresh id), so reuse is invisible to simulation results; callers must
    only [free] packets the data path will never touch again, and must not
-   free at all while the trace bus is on (a sink may retain live packets;
-   see Trace). *)
+   free at all while the run's trace bus is on (a sink may retain live
+   packets; see Trace). *)
+(* lint: allow no-global-state — packet free list; per-run once the benchmark freeze lifts (ROADMAP item 7) *)
 let pool : t array ref = ref [||]
-let pool_len = ref 0
+let pool_len = ref 0 (* lint: allow no-global-state — the free list's length, as above *)
 let pool_cap = 4096
 
 let reset_ids () =
@@ -123,7 +124,3 @@ let kind_str = function
   | Probe -> "probe"
   | Probe_ack -> "probe-ack"
   | Ctrl -> "ctrl"
-
-let pp fmt p =
-  Format.fprintf fmt "#%d %s flow=%d %d->%d seq=%d ack=%d size=%d tos=%d prio=%g"
-    p.id (kind_str p.kind) p.flow p.src p.dst p.seq p.ack p.size p.tos p.prio

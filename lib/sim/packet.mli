@@ -32,7 +32,8 @@ type t = {
   mutable sent_at : float;  (** time the packet entered the network at its source *)
   mutable enq_at : float;
       (** scratch: time the packet entered its current qdisc, stamped by
-          {!Queue_disc.count_enqueue} when {!Delay.on} (meaningless otherwise) *)
+          {!Queue_disc.count_enqueue} when the run attributes delay
+          (meaningless otherwise) *)
 }
 
 (** Header-only sizes in bytes. *)
@@ -40,11 +41,13 @@ val header_bytes : int
 
 val ack_bytes : int
 val probe_bytes : int
-val ctrl_bytes : int
 
 (** [reset_ids ()] restarts the id counter and empties the free list (call
     between independent runs for reproducibility of ids; behaviour never
-    depends on ids). *)
+    depends on ids). The counter and the free list are the last
+    process-global run state: the frozen benchmark harness calls [make]
+    and [reset_ids] without a run value (ROADMAP item 7). Runs interleaved
+    in one process interleave their packet ids. *)
 val reset_ids : unit -> unit
 
 val make :
@@ -64,10 +67,11 @@ val make :
   unit ->
   t
 
-(** [free pkt] returns a dead packet to the free list for reuse by a later
-    {!make}. Only call once the data path is completely done with [pkt]
-    (delivered to its final handler, or dropped), and never while the trace
-    bus is on — trace sinks may retain packets past delivery. *)
+(** [free pkt] returns a dead packet to the process-wide free list (see
+    {!reset_ids}) for reuse by a later {!make}. Only call once the data
+    path is completely done with [pkt] (delivered to its final handler, or
+    dropped), and never while the run's trace bus is on — trace sinks may
+    retain packets past delivery. *)
 val free : t -> unit
 
 (** [dummy ()] makes an inert placeholder packet (id -1) without consuming
@@ -76,5 +80,3 @@ val dummy : unit -> t
 
 val kind_str : kind -> string
 (** Short lowercase name ("data", "ack", ...), used by trace sinks. *)
-
-val pp : Format.formatter -> t -> unit

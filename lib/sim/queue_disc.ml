@@ -25,7 +25,8 @@ let count_drop (loc : Trace.loc) (c : Counters.t) ~qpkts (pkt : Packet.t) =
   (match pkt.kind with
   | Packet.Data -> c.dropped_data_pkts <- c.dropped_data_pkts + 1
   | Packet.Ack | Packet.Probe | Packet.Probe_ack | Packet.Ctrl -> ());
-  if Trace.on () then Trace.emit (Trace.Drop { pkt; link = link_of loc; qpkts })
+  if Trace.on c.trace then
+    Trace.emit c.trace (Trace.Drop { pkt; link = link_of loc; qpkts })
   else
     (* A dropped packet leaves the data path here: every caller discards it
        after this call, so it can be recycled (trace off only; see above). *)
@@ -34,9 +35,9 @@ let count_drop (loc : Trace.loc) (c : Counters.t) ~qpkts (pkt : Packet.t) =
 let count_enqueue (loc : Trace.loc) (c : Counters.t) ~qpkts (pkt : Packet.t) =
   c.enqueued_pkts <- c.enqueued_pkts + 1;
   c.enqueued_bytes <- c.enqueued_bytes + pkt.size;
-  if Delay.on () then pkt.enq_at <- Delay.now ();
-  if Trace.on () then
-    Trace.emit (Trace.Enqueue { pkt; link = link_of loc; qpkts })
+  if Delay.on c.delay then pkt.enq_at <- Delay.now c.delay;
+  if Trace.on c.trace then
+    Trace.emit c.trace (Trace.Enqueue { pkt; link = link_of loc; qpkts })
 
 let count_dequeue (loc : Trace.loc) (c : Counters.t) ~qpkts (pkt : Packet.t) =
   c.dequeued_pkts <- c.dequeued_pkts + 1;
@@ -44,13 +45,14 @@ let count_dequeue (loc : Trace.loc) (c : Counters.t) ~qpkts (pkt : Packet.t) =
   (* Delay attribution reads [pkt.enq_at] once per hop at delivery time
      (Link.prop_done), not here: one combined accumulation per hop instead
      of three separate guarded table lookups. *)
-  if Trace.on () then
-    Trace.emit (Trace.Dequeue { pkt; link = link_of loc; qpkts })
+  if Trace.on c.trace then
+    Trace.emit c.trace (Trace.Dequeue { pkt; link = link_of loc; qpkts })
 
 let count_mark (loc : Trace.loc) (c : Counters.t) ~qpkts (pkt : Packet.t) =
   pkt.Packet.ecn_ce <- true;
   c.Counters.ecn_marked_pkts <- c.Counters.ecn_marked_pkts + 1;
-  if Trace.on () then Trace.emit (Trace.Mark { pkt; link = link_of loc; qpkts })
+  if Trace.on c.trace then
+    Trace.emit c.trace (Trace.Mark { pkt; link = link_of loc; qpkts })
 
 let no_bands () = [||]
 

@@ -1,8 +1,7 @@
-(* Structured tracing: a process-global event bus with typed events and
-   pluggable sinks. The bus is disabled until a sink is attached; every
-   instrumentation site guards on [on ()] before constructing its event, so
-   a run with no sink attached pays one mutable-bool read per site and
-   allocates nothing. *)
+(* Structured tracing: a per-run event bus with typed events and pluggable
+   sinks. A bus with no sink is off; every instrumentation site guards on
+   [on bus] before constructing its event, so an untraced run pays one field
+   read per site and allocates nothing. *)
 
 module Kind = struct
   type t =
@@ -26,30 +25,6 @@ module Kind = struct
     | Alpha
     | Link_state
     | Blackhole
-
-  let count = 20
-
-  let index = function
-    | Enqueue -> 0
-    | Dequeue -> 1
-    | Drop -> 2
-    | Mark -> 3
-    | Tx -> 4
-    | Rx -> 5
-    | Stray -> 6
-    | Flow_start -> 7
-    | Flow_finish -> 8
-    | Flow_timeout -> 9
-    | Cwnd -> 10
-    | Rate -> 11
-    | Queue_assign -> 12
-    | Arb -> 13
-    | Arb_alloc -> 14
-    | Delegate -> 15
-    | Ctrl -> 16
-    | Alpha -> 17
-    | Link_state -> 18
-    | Blackhole -> 19
 
   let name = function
     | Enqueue -> "enqueue"
@@ -79,6 +54,16 @@ module Kind = struct
       Flow_timeout; Cwnd; Rate; Queue_assign; Arb; Arb_alloc; Delegate; Ctrl;
       Alpha; Link_state; Blackhole;
     ]
+
+  let count = List.length all
+
+  (* Position in [all]: the kind mask's index. *)
+  let index k =
+    let rec go i = function
+      | k' :: rest -> if k' = k then i else go (i + 1) rest
+      | [] -> invalid_arg "Trace.Kind.index"
+    in
+    go 0 all
 
   let of_name s = List.find_opt (fun k -> name k = s) all
 end
@@ -366,66 +351,69 @@ let ring_contents r =
       | Some e -> e
       | None -> assert false)
 
-(* ---- the global bus ----------------------------------------------------- *)
+(* ---- the bus ------------------------------------------------------------ *)
 
-let enabled = ref false
-let on () = !enabled
+(* The bus belongs to one run: the run's counters carry it to every emitting
+   layer. The emitted count lives in its own record so that [with_clock]
+   copies share it with the caller's original. *)
+type tally = { mutable emitted : int }
 
-let clock : (unit -> float) ref = ref (fun () -> 0.)
-let set_clock f = clock := f
+type t = {
+  on : bool;
+  sinks : sink list;
+  kind_mask : bool array;
+  flows : int list;  (* [] passes all *)
+  links : (int * int) list;  (* [] passes all *)
+  clock : unit -> float;
+  tally : tally;
+}
 
-let sinks : sink list ref = ref []
-let kind_mask = Array.make Kind.count true
-let flow_filter : int list ref = ref []
-let link_filter : (int * int) list ref = ref []
-let emitted_count = ref 0
+(* Never written: [emit] returns before touching the tally of a bus that
+   is off. *)
+let off =
+  {
+    on = false;
+    sinks = [];
+    kind_mask = [||];
+    flows = [];
+    links = [];
+    clock = (fun () -> 0.);
+    tally = { emitted = 0 };
+  }
 
-let attach sink =
-  sinks := !sinks @ [ sink ];
-  enabled := true
+let create ?kinds ?(flows = []) ?(links = []) sinks =
+  let kind_mask =
+    match kinds with
+    | None -> Array.make Kind.count true
+    | Some ks ->
+        let m = Array.make Kind.count false in
+        List.iter (fun k -> m.(Kind.index k) <- true) ks;
+        m
+  in
+  { on = sinks <> []; sinks; kind_mask; flows; links; clock = off.clock;
+    tally = { emitted = 0 } }
 
-let set_kind_filter = function
-  | None -> Array.fill kind_mask 0 Kind.count true
-  | Some kinds ->
-      Array.fill kind_mask 0 Kind.count false;
-      List.iter (fun k -> kind_mask.(Kind.index k) <- true) kinds
+let with_clock t clock = if t.on then { t with clock } else t
+let on t = t.on
+let emitted t = t.tally.emitted
 
-let set_flow_filter = function
-  | None -> flow_filter := []
-  | Some flows -> flow_filter := flows
-
-let set_link_filter = function
-  | None -> link_filter := []
-  | Some links -> link_filter := links
-
-let reset () =
-  List.iter (fun s -> s.close ()) !sinks;
-  sinks := [];
-  enabled := false;
-  set_kind_filter None;
-  set_flow_filter None;
-  set_link_filter None;
-  emitted_count := 0
-
-let emitted () = !emitted_count
-
-let emit ev =
-  if !enabled then begin
+let emit t ev =
+  if t.on then begin
     let pass =
-      kind_mask.(Kind.index (kind_of ev))
-      && (match !flow_filter with
+      t.kind_mask.(Kind.index (kind_of ev))
+      && (match t.flows with
          | [] -> true
          | fs ->
              let f = flow_of ev in
              f >= 0 && List.mem f fs)
       &&
-      match !link_filter with
+      match t.links with
       | [] -> true
       | ls -> ( match link_of ev with Some l -> List.mem l ls | None -> false)
     in
     if pass then begin
-      incr emitted_count;
-      let time = !clock () in
-      List.iter (fun s -> s.emit time ev) !sinks
+      t.tally.emitted <- t.tally.emitted + 1;
+      let time = t.clock () in
+      List.iter (fun s -> s.emit time ev) t.sinks
     end
   end

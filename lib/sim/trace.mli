@@ -1,17 +1,17 @@
-(** Structured tracing: a process-global event bus with typed events and
-    pluggable sinks.
+(** Structured tracing: a per-run event bus with typed events and pluggable
+    sinks.
 
-    Overhead contract: when no sink is attached the bus is disabled and every
-    instrumentation site reduces to one read of a mutable bool ([on ()]) —
-    no event value is constructed, nothing is allocated. Guard every call
-    site as
+    A bus is a value owned by one run. Its caller builds it once with its
+    sinks and filters ({!create}); the run's {!Counters.t} carries it to
+    every emitting layer, and events are stamped with the run's own engine
+    time. Two simulations in one process therefore keep separate traces,
+    and an untraced run holds {!off}.
 
-    {[ if Trace.on () then Trace.emit (Trace.Drop { ... }) ]}
+    Overhead contract: a bus with no sink is off and every instrumentation
+    site reduces to one field read ([on bus]) — no event value is
+    constructed, nothing is allocated. Guard every call site as
 
-    The bus is process-global on purpose: forked parallel workers each
-    inherit their own copy, so a worker's trace is exactly the trace the
-    same job produces when run serially (byte-identical, given the engine
-    determinism contract). *)
+    {[ if Trace.on bus then Trace.emit bus (Trace.Drop { ... }) ]} *)
 
 (** Event kinds, used for filtering and CLI parsing. *)
 module Kind : sig
@@ -127,38 +127,35 @@ val ring_seen : ring -> int
 val ring_dropped : ring -> int
 (** Events evicted to make room: [max 0 (seen - capacity)]. *)
 
-(** {1 The global bus} *)
+(** {1 The bus} *)
 
-val on : unit -> bool
-(** Fast guard: true iff at least one sink is attached. *)
+type t
 
-val emit : event -> unit
-(** Deliver to all sinks if enabled and the event passes the filters.
-    Call sites must still guard on [on ()] so the event value is only
+val off : t
+(** The bus of an untraced run: no sinks, never emits. *)
+
+val create :
+  ?kinds:Kind.t list -> ?flows:int list -> ?links:(int * int) list ->
+  sink list -> t
+(** [create sinks] is a bus delivering to [sinks], in order; it is on iff
+    [sinks] is non-empty. Filters intersect across keys: [kinds] passes only
+    those kinds, [flows] only events whose {!flow_of} is listed (flowless
+    events excluded), [links] only events whose {!link_of} is listed
+    (linkless events excluded). An omitted or empty filter passes all.
+    Events are stamped 0 until {!with_clock} gives the bus a run's clock,
+    as {!Runner.run} does with its engine's. *)
+
+val with_clock : t -> (unit -> float) -> t
+(** The same bus — sinks, filters and emitted count shared — stamping
+    events from [clock]. {!off} stays off. *)
+
+val on : t -> bool
+(** Fast guard: true iff the bus has a sink. *)
+
+val emit : t -> event -> unit
+(** Deliver to all sinks if the bus is on and the event passes the filters.
+    Call sites must still guard on [on bus] so the event value is only
     constructed when tracing is live. *)
 
-val attach : sink -> unit
-(** Attach a sink and enable the bus. *)
-
-val reset : unit -> unit
-(** Close all sinks, detach them, disable the bus, clear all filters and
-    the emitted counter. *)
-
-val set_clock : (unit -> float) -> unit
-(** Timestamp source; [Net.create] and [Runner.run] point it at their
-    engine's [Engine.now]. *)
-
-val set_kind_filter : Kind.t list option -> unit
-(** [Some kinds] passes only those kinds; [None] passes all (default). *)
-
-val set_flow_filter : int list option -> unit
-(** [Some flows] passes only events whose [flow_of] is listed; flowless
-    events are excluded. [None] passes all (default). *)
-
-val set_link_filter : (int * int) list option -> unit
-(** [Some links] passes only events whose [link_of] is listed; linkless
-    events are excluded. [None] passes all (default). *)
-
-val emitted : unit -> int
-(** Events that passed the filters and reached sinks since the last
-    [reset]. *)
+val emitted : t -> int
+(** Events that passed the filters and reached the sinks. *)

@@ -179,6 +179,7 @@ let run t ~caps ~n_links ~paths ~n_flows =
     end
   done;
   let unfrozen = ref n_flows in
+  let prev = ref 0. in
   while !unfrozen > 0 do
     drop_stale t;
     if t.hlen = 0 then
@@ -186,12 +187,16 @@ let run t ~caps ~n_links ~paths ~n_flows =
          count it). The rest stay at zero, which guarantees termination. *)
       unfrozen := 0
     else begin
-      let s = Float.max 0. t.hkey.(0) in
+      let key = t.hkey.(0) in
+      (* Step shares never decrease in exact arithmetic; clamp away the
+         ulp [rem /. cnt] rounding can lose (DESIGN §15.3). *)
+      let s = Float.max !prev (Float.max 0. key) in
+      prev := s;
       t.n_stack <- 0;
-      (* Every link whose entry still holds share [s] is a bottleneck:
+      (* Every link whose entry still holds the minimum key is a bottleneck:
          entries are refreshed only after the step, so this is the set of
          links tied at the minimum when the step began. *)
-      while t.hlen > 0 && t.hkey.(0) = s do
+      while t.hlen > 0 && t.hkey.(0) = key do
         let l = pop t in
         t.hseq.(l) <- -1;
         t.bott.(l) <- true;

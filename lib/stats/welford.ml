@@ -20,7 +20,6 @@ let add t x =
 let count t = t.n
 let mean t = if t.n = 0 then nan else t.mean
 let variance t = if t.n = 0 then nan else t.m2 /. float_of_int t.n
-let stddev t = if t.n = 0 then nan else sqrt (variance t)
 let min t = if t.n = 0 then nan else t.lo
 let max t = if t.n = 0 then nan else t.hi
 

@@ -22,9 +22,6 @@ val mean : t -> float
 (** Population variance (M2/n); [nan] when empty. *)
 val variance : t -> float
 
-(** [sqrt (variance t)]; [nan] when empty. *)
-val stddev : t -> float
-
 (** Smallest value seen; [nan] when empty. *)
 val min : t -> float
 

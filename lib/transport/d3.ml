@@ -71,7 +71,6 @@ let conf ?(init_rtt = 0.0003) () =
   }
 
 let sender h = h.sender
-let current_rate h = !(h.rate)
 
 let mss_bits h = float_of_int (8 * (Sender_base.conf h.sender).Sender_base.mss)
 
@@ -111,8 +110,9 @@ let refresh h =
       (fun () ->
         if (not !(h.stopped)) && not (Sender_base.completed h.sender) then begin
           h.rate := alloc;
-          if Trace.on () then
-            Trace.emit (Trace.Rate { flow; rate_bps = alloc });
+          let trace = Sender_base.trace h.sender in
+          if Trace.on trace then
+            Trace.emit trace (Trace.Rate { flow; rate_bps = alloc });
           Sender_base.try_send h.sender
         end)
   end

@@ -48,5 +48,4 @@ val create :
 
 val start : host -> unit
 val sender : host -> Sender_base.t
-val current_rate : host -> float
 val conf : ?init_rtt:float -> unit -> Sender_base.conf

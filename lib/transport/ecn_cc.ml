@@ -24,8 +24,8 @@ let observe st t ~ecn ~weight =
       else float_of_int st.marked_in_window /. float_of_int st.acked_in_window
     in
     st.alpha <- ((1. -. gain) *. st.alpha) +. (gain *. f);
-    if Trace.on () then
-      Trace.emit
+    if Trace.on (Sender_base.trace t) then
+      Trace.emit (Sender_base.trace t)
         (Trace.Alpha
            { flow = (Sender_base.flow t).Flow.id; alpha = st.alpha });
     st.acked_in_window <- 0;

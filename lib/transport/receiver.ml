@@ -5,11 +5,9 @@ type t = {
   ack_prio : float;
   received : Seg_store.t;  (* Acked = received *)
   mutable cum : int;
-  mutable received_count : int;
 }
 
 let cum_ack t = t.cum
-let received_pkts t = t.received_count
 
 let send_reply t ~kind ~seq ~sack ~ecn_echo =
   let pkt =
@@ -26,7 +24,6 @@ let handle t (pkt : Packet.t) =
       let seq = pkt.Packet.seq in
       if Seg_store.get t.received seq <> Seg_store.Acked then begin
         Seg_store.set t.received seq Seg_store.Acked;
-        t.received_count <- t.received_count + 1;
         while Seg_store.get t.received t.cum = Seg_store.Acked do
           t.cum <- t.cum + 1
         done
@@ -49,7 +46,6 @@ let create net ~flow ?(ack_tos = 0) ?(ack_prio = 0.) () =
       ack_prio;
       received = Seg_store.create ();
       cum = 0;
-      received_count = 0;
     }
   in
   Net.register_flow net ~host:flow.Flow.dst ~flow:flow.Flow.id (handle t);

@@ -13,8 +13,5 @@ val create : Net.t -> flow:Flow.t -> ?ack_tos:int -> ?ack_prio:float -> unit -> 
 (** First segment index not yet received. *)
 val cum_ack : t -> int
 
-(** Total distinct segments received. *)
-val received_pkts : t -> int
-
 (** Unregister the receiver's handler. *)
 val stop : t -> unit

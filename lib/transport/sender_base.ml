@@ -12,9 +12,11 @@ type conf = {
 type t = {
   net : Net.t;
   engine : Engine.t;
+  trace : Trace.t;  (* the run's observers, from the net's counters *)
+  delay : Delay.t;
   flow : Flow.t;
   conf : conf;
-  mutable hooks : hooks;
+  hooks : hooks;
   status : Seg_store.t;
   mutable sent_at : float array;
   mutable sent_retx : Bytes.t;
@@ -68,15 +70,15 @@ let default_conf =
 
 let net t = t.net
 let engine t = t.engine
+let trace t = t.trace
 let flow t = t.flow
 let conf t = t.conf
-let set_hooks t h = t.hooks <- h
 let cwnd t = t.cwnd
 
 let set_cwnd t w =
   t.cwnd <- Float.min t.conf.max_cwnd (Float.max 1. w);
-  if Trace.on () then
-    Trace.emit
+  if Trace.on t.trace then
+    Trace.emit t.trace
       (Trace.Cwnd
          { flow = t.flow.Flow.id; cwnd = t.cwnd; ssthresh = t.ssthresh })
 let ssthresh t = t.ssthresh
@@ -104,7 +106,7 @@ let cancel_timer t =
 
 (* Attribution probe: is the transport blocked by its protocol hooks — an
    arbitration assignment still pending, or a pacing grant spacing sends
-   out — rather than by loss recovery? Only consulted when [Delay.on]. *)
+   out — rather than by loss recovery? Only consulted when attributing. *)
 let delay_gated t =
   (not (t.hooks.allow_send t))
   ||
@@ -161,19 +163,20 @@ and reset_timer t =
 and handle_timeout t =
   if t.completed then ()
   else begin
-    if Delay.on () then
-      Delay.before_timeout ~flow:t.flow.Flow.id ~now:(Engine.now t.engine);
+    if Delay.on t.delay then
+      Delay.before_timeout t.delay ~flow:t.flow.Flow.id
+        ~now:(Engine.now t.engine);
     t.consecutive_timeouts <- t.consecutive_timeouts + 1;
-    if Trace.on () then
-      Trace.emit
+    if Trace.on t.trace then
+      Trace.emit t.trace
         (Trace.Flow_timeout { flow = t.flow.Flow.id; backoff = t.backoff });
     (match t.hooks.on_timeout t with
     | `Handled -> ()
     | `Default -> default_timeout_action t);
     t.backoff <- Int.min 8 (t.backoff + 1);
     arm_timer t;
-    if Delay.on () && not t.completed then
-      Delay.sync ~flow:t.flow.Flow.id ~inflight:t.inflight
+    if Delay.on t.delay && not t.completed then
+      Delay.sync t.delay ~flow:t.flow.Flow.id ~inflight:t.inflight
         ~gated:(delay_gated t) ~now:(Engine.now t.engine)
   end
 
@@ -211,8 +214,8 @@ and send_segment t seq ~retx =
   if Seg_store.get t.status seq = Seg_store.Lost then t.lost <- t.lost - 1;
   Seg_store.set t.status seq Seg_store.Inflight;
   t.inflight <- t.inflight + 1;
-  if Delay.on () then
-    Delay.on_send ~flow:t.flow.Flow.id ~now:(Engine.now t.engine);
+  if Delay.on t.delay then
+    Delay.on_send t.delay ~flow:t.flow.Flow.id ~now:(Engine.now t.engine);
   record_send t seq ~retx;
   let pkt =
     Packet.make ~flow:t.flow.Flow.id ~src:t.flow.Flow.src ~dst:t.flow.Flow.dst
@@ -289,17 +292,18 @@ let complete t =
     cancel_timer t;
     Net.unregister_flow t.net ~host:t.flow.Flow.src ~flow:t.flow.Flow.id;
     let fct = Engine.now t.engine -. t.flow.Flow.start_time in
-    if Delay.on () then
-      Delay.complete ~flow:t.flow.Flow.id ~now:(Engine.now t.engine) ~fct;
-    if Trace.on () then
-      Trace.emit (Trace.Flow_finish { flow = t.flow.Flow.id; fct });
+    if Delay.on t.delay then
+      Delay.complete t.delay ~flow:t.flow.Flow.id ~now:(Engine.now t.engine)
+        ~fct;
+    if Trace.on t.trace then
+      Trace.emit t.trace (Trace.Flow_finish { flow = t.flow.Flow.id; fct });
     t.on_complete t ~fct
   end
 
 let cancel t =
   t.completed <- true;
   cancel_timer t;
-  if Delay.on () then Delay.discard ~flow:t.flow.Flow.id;
+  if Delay.on t.delay then Delay.discard t.delay ~flow:t.flow.Flow.id;
   Net.unregister_flow t.net ~host:t.flow.Flow.src ~flow:t.flow.Flow.id
 
 let update_rtt t sample =
@@ -344,8 +348,8 @@ let handle_ack_like t (pkt : Packet.t) =
   if t.completed then ()
   else begin
     t.probe_outstanding <- false;
-    if Delay.on () then
-      Delay.on_activity ~flow:t.flow.Flow.id ~now:(Engine.now t.engine);
+    if Delay.on t.delay then
+      Delay.on_activity t.delay ~flow:t.flow.Flow.id ~now:(Engine.now t.engine);
     let newly = ref 0 in
     if pkt.Packet.sack >= 0 then mark_acked t pkt.Packet.sack newly;
     if pkt.Packet.ack > t.cum_ack then begin
@@ -393,8 +397,8 @@ let handle_ack_like t (pkt : Packet.t) =
     if t.cum_ack >= t.flow.Flow.size_pkts then complete t
     else begin
       try_send t;
-      if Delay.on () && not t.completed then
-        Delay.sync ~flow:t.flow.Flow.id ~inflight:t.inflight
+      if Delay.on t.delay && not t.completed then
+        Delay.sync t.delay ~flow:t.flow.Flow.id ~inflight:t.inflight
           ~gated:(delay_gated t) ~now:(Engine.now t.engine)
     end
   end
@@ -417,11 +421,16 @@ let create net ~flow ~conf ?(hooks = default_hooks) ~on_complete () =
      The hooks cannot be probed yet (host back-references are only wired
      after [create] returns), so the initial mode is provisional; [start]
      re-syncs it. *)
-  if Delay.on () then
-    Delay.flow_start ~flow:flow.Flow.id ~now:flow.Flow.start_time ~gated:false;
+  let counters = Net.counters net in
+  let delay = counters.Counters.delay in
+  if Delay.on delay then
+    Delay.flow_start delay ~flow:flow.Flow.id ~now:flow.Flow.start_time
+      ~gated:false;
   {
     net;
     engine = Net.engine net;
+    trace = counters.Counters.trace;
+    delay;
     flow;
     conf;
     hooks;
@@ -451,8 +460,8 @@ let create net ~flow ~conf ?(hooks = default_hooks) ~on_complete () =
   }
 
 let start t =
-  if Trace.on () then
-    Trace.emit
+  if Trace.on t.trace then
+    Trace.emit t.trace
       (Trace.Flow_start
          {
            flow = t.flow.Flow.id;
@@ -465,7 +474,7 @@ let start t =
       match pkt.Packet.kind with
       | Packet.Ack | Packet.Probe_ack -> handle_ack_like t pkt
       | Packet.Data | Packet.Probe | Packet.Ctrl -> ());
-  if Delay.on () then
-    Delay.sync ~flow:t.flow.Flow.id ~inflight:t.inflight
+  if Delay.on t.delay then
+    Delay.sync t.delay ~flow:t.flow.Flow.id ~inflight:t.inflight
       ~gated:(delay_gated t) ~now:(Engine.now t.engine);
   try_send t

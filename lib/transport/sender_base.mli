@@ -72,9 +72,9 @@ val default_timeout_action : t -> unit
 
 val net : t -> Net.t
 val engine : t -> Engine.t
+val trace : t -> Trace.t
 val flow : t -> Flow.t
 val conf : t -> conf
-val set_hooks : t -> hooks -> unit
 val cwnd : t -> float
 val set_cwnd : t -> float -> unit
 val ssthresh : t -> float

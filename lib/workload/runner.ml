@@ -189,30 +189,32 @@ let link_agents net ~create ~clear start =
       start ~flow (along [] route) ~init_rtt ~on_complete )
 
 let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
-    ?(attrib = false) ?on_attrib ?series ?hybrid protocol scenario =
+    ?(attrib = false) ?on_attrib ?series ?hybrid ?(trace = Trace.off) protocol
+    scenario =
   (match hybrid with
   | Some h when h.fluid_threshold <= 0 ->
       invalid_arg "Runner.run: fluid threshold must be positive"
   | _ -> ());
-  (* Fault-free baseline for AFCT inflation, run first so the faulted run's
-     process-global state (packet ids, trace clock) is the fresh one.
-     Skipped under tracing: the baseline's events would pollute the sinks.
-     The baseline inherits [stats] and [hybrid] (same memory and fidelity
-     profile) but never spills records, never samples and never attributes:
-     only the measured run's flows belong in the stream (and Delay is
-     process-global, like Trace). *)
+  (* Fault-free baseline for AFCT inflation, on its own unobserved counters.
+     It inherits [stats] and [hybrid] (same memory and fidelity profile) but
+     never traces, spills records, samples or attributes: only the measured
+     run's flows belong in the observers. *)
   let afct_baseline =
-    if scenario.Scenario.faults = [] || Trace.on () then nan
+    if scenario.Scenario.faults = [] then nan
     else
       (run ?horizon ~stats ?hybrid protocol (Scenario.with_faults scenario []))
         .afct
   in
   let attrib_agg = if attrib then Some (Attrib.create ()) else None in
-  if attrib then Delay.enable ();
   Packet.reset_ids ();
   let engine = Engine.create () in
   Engine.set_profiling engine profile;
-  let counters = Counters.create () in
+  let counters =
+    Counters.create
+      ~trace:(Trace.with_clock trace (fun () -> Engine.now engine))
+      ~delay:(if attrib then Delay.create engine else Delay.off)
+      ()
+  in
   let qdisc = qdisc_for protocol counters ~rtt:(Scenario.nominal_rtt scenario) in
   let plan = Scenario.build scenario engine counters ~qdisc in
   let topo = plan.Scenario.topo in
@@ -483,7 +485,7 @@ let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
             };
           (match attrib_agg with
           | Some agg -> (
-              match Delay.take ~flow:id with
+              match Delay.take counters.Counters.delay ~flow:id with
               | Some r ->
                   Attrib.add agg ~size_pkts r;
                   (match on_attrib with
@@ -618,7 +620,6 @@ let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
         match Hierarchy.recovery_s h with Some s -> s | None -> nan)
     | None -> nan
   in
-  if attrib then Delay.disable ();
   (* All-workers-finish: CCT spans the group's first start to its last
      member's finish. Sorted task order makes t-digest insertion — and so
      every published quantile — byte-stable across runs and processes. *)

@@ -76,8 +76,7 @@ type result = {
           re-served allocation; [nan] when no crash recovered *)
   afct_baseline : float;
       (** AFCT of the fault-free run of the same scenario; [nan] for
-          fault-free or traced runs (the baseline sub-run is skipped under
-          tracing so its events don't pollute the sinks) *)
+          fault-free runs *)
   afct_inflation : float;  (** [afct /. afct_baseline]; [nan] if n/a *)
   attrib : Attrib.t option;
       (** per-flow delay attribution aggregate (see {!Delay} and
@@ -122,18 +121,21 @@ type result = {
     spill records to disk incrementally.
 
     A non-empty [scenario.faults] schedule is armed on the engine before
-    the run and first triggers an unprofiled fault-free sub-run of the same
-    scenario to measure [afct_baseline] (skipped while tracing).
+    the run and first triggers an unprofiled, unobserved fault-free sub-run
+    of the same scenario, on its own counters, to measure [afct_baseline].
 
-    [attrib] (default false) turns on per-flow delay attribution ({!Delay})
-    for the measured run (never the baseline sub-run): each completed flow's
-    record lands in [result.attrib], and [on_attrib] (if given) sees every
-    record as the flow completes, in completion order — the CLI's
+    [trace] (default {!Trace.off}) is the caller's bus; the run stamps its
+    events from the run's engine ({!Trace.with_clock}).
+
+    [attrib] (default false) gives the measured run (never the baseline
+    sub-run) its own delay-attribution tables ({!Delay}): each completed
+    flow's record lands in [result.attrib], and [on_attrib] (if given) sees
+    every record as the flow completes, in completion order — the CLI's
     [--attrib] uses it to spill records as JSONL. [series], when given a
     [(store, interval)] pair, drives a {!Sampler} over the topology's links
     at [interval] seconds of sim time into [store]. Both are observation
     layers: the simulated outcome (FCTs, events, counters) is identical
-    with them on or off.
+    with them on or off, as it is with [trace].
 
     [hybrid] configures the hybrid fidelity engine (see DESIGN.md §15):
     with [enabled = true] and a whitelisted protocol, flows the classifier
@@ -152,6 +154,7 @@ val run :
   ?on_attrib:(size_pkts:int -> Delay.record -> unit) ->
   ?series:Series.store * float ->
   ?hybrid:hybrid ->
+  ?trace:Trace.t ->
   protocol ->
   Scenario.t ->
   result

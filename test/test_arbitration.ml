@@ -304,9 +304,9 @@ let suite =
     Alcotest.test_case "lowest queue caps" `Quick test_lowest_queue_caps;
     Alcotest.test_case "priority ordering" `Quick test_priority_ordering_by_criterion;
     Alcotest.test_case "tie break on id" `Quick test_tie_break_on_flow_id;
-    QCheck_alcotest.to_alcotest prop_top_queue_rates_within_capacity;
-    QCheck_alcotest.to_alcotest prop_queue_monotone_in_priority;
-    QCheck_alcotest.to_alcotest prop_every_flow_assigned;
-    QCheck_alcotest.to_alcotest prop_rref_positive;
-    QCheck_alcotest.to_alcotest prop_arbitrator_matches_assign;
+    Qseed.to_alcotest prop_top_queue_rates_within_capacity;
+    Qseed.to_alcotest prop_queue_monotone_in_priority;
+    Qseed.to_alcotest prop_every_flow_assigned;
+    Qseed.to_alcotest prop_rref_positive;
+    Qseed.to_alcotest prop_arbitrator_matches_assign;
   ]

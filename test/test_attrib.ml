@@ -83,52 +83,81 @@ let test_pdq_arb_wait_positive () =
   Alcotest.(check bool) "pdq aggregate arb_wait > 0" true
     (Attrib.component_sum agg ~band:"all" ~component:"arb_wait" > 0.)
 
-(* A plain run does not pay for attribution: no aggregate, and the global
-   Delay switch is off afterwards. *)
+(* A plain run does not pay for attribution: no aggregate. *)
 let test_off_by_default () =
   let r =
     Runner.run Runner.Dctcp
       (Scenario.intra_rack_medium ~num_flows:20 ~seed:1 ~load:0.4 ())
   in
-  Alcotest.(check bool) "no aggregate" true (r.Runner.attrib = None);
-  Alcotest.(check bool) "delay switch off" false (Delay.on ())
+  Alcotest.(check bool) "no aggregate" true (r.Runner.attrib = None)
 
-(* Observation never changes the simulated outcome: one seeded PASE run,
-   executed plain, with attribution and with the fabric sampler, yields the
-   same flow records and headline metrics. Attribution schedules nothing, so
-   its event count matches the plain run's and its encoded result is
+(* Observation never changes the simulated outcome: a seeded PASE run,
+   executed plain, with attribution, with the fabric sampler and traced into
+   a ring bus, yields the same flow records and headline metrics — on a
+   fat-tree, and on left-right under CI's fault schedule (a flap, an
+   arbitrator crash and control loss), whose fault-free baseline sub-run
+   tracing must not skip. Attribution and tracing schedule nothing, so
+   their event counts match the plain run's and their encoded results are
    byte-identical once the aggregate is dropped; the sampler adds its own
    timer events, so only its outcome is compared. *)
 let test_observation_never_changes_results () =
-  let scenario =
-    Scenario.fat_tree_uniform ~k:4 ~num_flows:120 ~seed:5 ~load:0.6 ()
-  in
-  let plain = Runner.run Runner.pase scenario in
-  let attributed = Runner.run ~attrib:true Runner.pase scenario in
-  let sampled =
-    Runner.run ~series:(Series.store (), 1e-4) Runner.pase scenario
+  let faults =
+    match
+      Fault.parse
+        "flap:a=agg0,b=core0,at=0.004,down=0.002,up=0.004,count=3;\
+         crash:node=tor0,at=0.005,restart=0.012;ctrl:at=0,until=0.05,p=0.3"
+    with
+    | Ok f -> f
+    | Error e -> Alcotest.fail e
   in
   List.iter
-    (fun (name, (r : Runner.result)) ->
-      Alcotest.(check bool)
-        (name ^ ": same flow records")
-        true
-        (compare (Fct.records plain.Runner.fct) (Fct.records r.Runner.fct)
-        = 0);
-      Alcotest.(check int) (name ^ ": completed") plain.Runner.completed
-        r.Runner.completed;
-      Alcotest.(check bool) (name ^ ": afct") true
-        (Float.equal plain.Runner.afct r.Runner.afct);
-      Alcotest.(check bool) (name ^ ": p99") true
-        (Float.equal plain.Runner.p99 r.Runner.p99);
-      Alcotest.(check int) (name ^ ": stray packets") plain.Runner.stray_pkts
-        r.Runner.stray_pkts)
-    [ ("attrib", attributed); ("series", sampled) ];
-  Alcotest.(check int) "attrib: same event count" plain.Runner.events
-    attributed.Runner.events;
-  Alcotest.(check string) "attrib: encoding minus aggregate is byte-identical"
-    (Result_codec.encode plain)
-    (Result_codec.encode { attributed with Runner.attrib = None })
+    (fun (scn, scenario) ->
+      let plain = Runner.run Runner.pase scenario in
+      let attributed = Runner.run ~attrib:true Runner.pase scenario in
+      let sampled =
+        Runner.run ~series:(Series.store (), 1e-4) Runner.pase scenario
+      in
+      let ring, sink = Trace.ring_sink ~capacity:64 in
+      let traced =
+        Runner.run ~trace:(Trace.create [ sink ]) Runner.pase scenario
+      in
+      Alcotest.(check bool) (scn ^ ": trace emitted") true
+        (Trace.ring_seen ring > 0);
+      List.iter
+        (fun (name, (r : Runner.result)) ->
+          let name = scn ^ ": " ^ name in
+          Alcotest.(check bool)
+            (name ^ ": same flow records")
+            true
+            (compare (Fct.records plain.Runner.fct) (Fct.records r.Runner.fct)
+            = 0);
+          Alcotest.(check int) (name ^ ": completed") plain.Runner.completed
+            r.Runner.completed;
+          Alcotest.(check bool) (name ^ ": afct") true
+            (Float.equal plain.Runner.afct r.Runner.afct);
+          Alcotest.(check bool) (name ^ ": p99") true
+            (Float.equal plain.Runner.p99 r.Runner.p99);
+          Alcotest.(check int) (name ^ ": stray packets")
+            plain.Runner.stray_pkts r.Runner.stray_pkts)
+        [ ("attrib", attributed); ("series", sampled); ("trace", traced) ];
+      List.iter
+        (fun (name, (r : Runner.result)) ->
+          let name = scn ^ ": " ^ name in
+          Alcotest.(check int) (name ^ ": same event count")
+            plain.Runner.events r.Runner.events;
+          Alcotest.(check string)
+            (name ^ ": encoding minus aggregate is byte-identical")
+            (Result_codec.encode plain)
+            (Result_codec.encode { r with Runner.attrib = None }))
+        [ ("attrib", attributed); ("trace", traced) ])
+    [
+      ( "fat-tree",
+        Scenario.fat_tree_uniform ~k:4 ~num_flows:120 ~seed:5 ~load:0.6 () );
+      ( "faulted left-right",
+        Scenario.with_faults
+          (Scenario.left_right ~num_flows:150 ~load:0.6 ())
+          faults );
+    ]
 
 (* Merging two half-aggregates reproduces the single-pass one up to float
    summation order (Welford's merge reassociates, so byte identity is not

@@ -315,8 +315,8 @@ let suite =
       test_compact_releases_values;
     Alcotest.test_case "compact shrinks capacity" `Quick
       test_compact_shrinks_capacity;
-    QCheck_alcotest.to_alcotest prop_heap_sorts;
-    QCheck_alcotest.to_alcotest prop_fifo_on_equal_keys;
-    QCheck_alcotest.to_alcotest prop_model_interleaved;
+    Qseed.to_alcotest prop_heap_sorts;
+    Qseed.to_alcotest prop_fifo_on_equal_keys;
+    Qseed.to_alcotest prop_model_interleaved;
     Alcotest.test_case "model on small heaps" `Quick test_model_small_heaps;
   ]

@@ -74,6 +74,38 @@ let test_poly_compare_sort () =
 let g a = Array.sort Int.compare a
 let h rows = List.sort (List.compare String.compare) rows|}
 
+let test_global_state () =
+  let lint_lib src = rules (Lint_engine.lint_source ~file:"lib/sim/x.ml" src) in
+  let check msg expected src =
+    Alcotest.(check (list string)) msg expected (lint_lib src)
+  in
+  check "top-level ref flagged" [ "no-global-state" ] {|let n = ref 0|};
+  check "each constructor flagged"
+    [
+      "no-global-state"; "no-global-state"; "no-global-state";
+      "no-global-state"; "no-global-state";
+    ]
+    {|let h : (int, int) Hashtbl.t = Hashtbl.create 8
+let d = Det_tbl.create 8
+let a = Array.make 4 0.
+let c = Atomic.make 0
+let r = Stdlib.ref []|};
+  check "nested in the initialiser flagged" [ "no-global-state" ]
+    {|let st = (ref 0, 1)|};
+  check "nested struct flagged" [ "no-global-state" ]
+    {|module M = struct let tbl = Hashtbl.create 8 end|};
+  check "under a function not flagged" []
+    {|let create () = ref 0
+let f = fun n -> Array.make n 0
+let g = function 0 -> Hashtbl.create 1 | n -> Hashtbl.create n|};
+  check "local binding not flagged" []
+    {|let f x = let r = ref x in incr r; !r|};
+  check "pragma suppresses" []
+    {|(* lint: allow no-global-state — fixture *)
+let n = ref 0|};
+  Alcotest.(check (list string)) "outside lib/ not flagged" []
+    (rules (lint {|let n = ref 0|}))
+
 let test_poly_compare_eta () =
   check_rules "eta-expanded compare flagged" [ "no-poly-compare-sort" ]
     {|let f xs = List.sort (fun a b -> compare a b) xs|};
@@ -392,6 +424,7 @@ let parse_suite =
     Alcotest.test_case "no-obj-magic" `Quick test_obj_magic;
     Alcotest.test_case "no-poly-compare-sort" `Quick test_poly_compare_sort;
     Alcotest.test_case "eta-expanded comparators" `Quick test_poly_compare_eta;
+    Alcotest.test_case "no-global-state" `Quick test_global_state;
     Alcotest.test_case "comments and strings ignored" `Quick
       test_mentions_in_comments_and_strings;
     Alcotest.test_case "pragma same line" `Quick test_pragma_same_line;

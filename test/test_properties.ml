@@ -186,9 +186,9 @@ let prop_runner_always_completes =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_net_conservation;
-    QCheck_alcotest.to_alcotest prop_prio_band_fifo;
-    QCheck_alcotest.to_alcotest prop_pfabric_oracle;
+    Qseed.to_alcotest prop_net_conservation;
+    Qseed.to_alcotest prop_prio_band_fifo;
+    Qseed.to_alcotest prop_pfabric_oracle;
     Alcotest.test_case "pase work conservation" `Quick test_pase_work_conservation;
-    QCheck_alcotest.to_alcotest prop_runner_always_completes;
+    Qseed.to_alcotest prop_runner_always_completes;
   ]

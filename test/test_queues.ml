@@ -228,8 +228,8 @@ let suite =
     Alcotest.test_case "pfabric starvation avoidance" `Quick test_pfabric_starvation_avoidance;
     Alcotest.test_case "pfabric drop worst" `Quick test_pfabric_drop_worst;
     Alcotest.test_case "pfabric drop arrival if worst" `Quick test_pfabric_drop_arrival_if_worst;
-    QCheck_alcotest.to_alcotest prop_droptail_conservation;
-    QCheck_alcotest.to_alcotest prop_prio_conservation;
-    QCheck_alcotest.to_alcotest prop_pfabric_conservation;
-    QCheck_alcotest.to_alcotest prop_prio_strict;
+    Qseed.to_alcotest prop_droptail_conservation;
+    Qseed.to_alcotest prop_prio_conservation;
+    Qseed.to_alcotest prop_pfabric_conservation;
+    Qseed.to_alcotest prop_prio_strict;
   ]

@@ -99,5 +99,5 @@ let suite =
     Alcotest.test_case "exponential positive" `Quick test_exponential_positive;
     Alcotest.test_case "split independent" `Quick test_split_independent;
     Alcotest.test_case "bool balance" `Quick test_bool_balance;
-    QCheck_alcotest.to_alcotest prop_int_nonnegative;
+    Qseed.to_alcotest prop_int_nonnegative;
   ]

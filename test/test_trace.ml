@@ -15,36 +15,35 @@ let read_file path =
 
 let traced_run_to path =
   let oc = open_out path in
-  Trace.attach (Trace.jsonl_sink oc);
   Fun.protect
-    ~finally:(fun () ->
-      Trace.reset ();
-      close_out oc)
+    ~finally:(fun () -> close_out oc)
     (fun () ->
       let sc = Scenario.testbed ~num_flows:20 ~seed:2 ~load:0.5 () in
-      Runner.run Runner.pase sc)
+      Runner.run ~trace:(Trace.create [ Trace.jsonl_sink oc ]) Runner.pase sc)
 
 let pkt ~flow seq =
   Packet.make ~flow ~src:0 ~dst:1 ~kind:Packet.Data ~size:1500 ~seq
     ~sent_at:0. ()
 
-(* With no sink attached the bus is off and nothing is counted: the guard
-   at every instrumentation site short-circuits. *)
+(* A bus with no sink is off and counts nothing: the guard at every
+   instrumentation site short-circuits. *)
 let test_disabled_bus_is_silent () =
-  Trace.reset ();
-  Alcotest.(check bool) "bus off" false (Trace.on ());
+  let bus = Trace.create [] in
+  Alcotest.(check bool) "bus off" false (Trace.on bus);
+  Alcotest.(check bool) "off bus off" false (Trace.on Trace.off);
   let sc = Scenario.testbed ~num_flows:10 ~seed:1 ~load:0.4 () in
-  let r = Runner.run Runner.Dctcp sc in
+  let r = Runner.run ~trace:bus Runner.Dctcp sc in
   Alcotest.(check bool) "flows ran" true (r.Runner.completed > 0);
-  Alcotest.(check int) "no events emitted" 0 (Trace.emitted ());
+  Alcotest.(check int) "no events emitted" 0 (Trace.emitted bus);
   (* emit without a sink is a no-op, not an error *)
-  Trace.emit (Trace.Flow_finish { flow = 0; fct = 1. });
-  Alcotest.(check int) "still nothing" 0 (Trace.emitted ())
+  Trace.emit bus (Trace.Flow_finish { flow = 0; fct = 1. });
+  Trace.emit Trace.off (Trace.Flow_finish { flow = 0; fct = 1. });
+  Alcotest.(check int) "still nothing" 0 (Trace.emitted bus);
+  Alcotest.(check int) "off bus counts nothing" 0 (Trace.emitted Trace.off)
 
 (* Two traced runs of the same configuration produce byte-identical JSONL
    files, and every line is a JSON object with the common envelope. *)
 let test_jsonl_reruns_byte_identical () =
-  Trace.reset ();
   let f1 = tmp_file "a" and f2 = tmp_file "b" in
   Fun.protect
     ~finally:(fun () ->
@@ -67,9 +66,8 @@ let test_jsonl_reruns_byte_identical () =
              end))
 
 (* A forked child (the shape of a parallel worker) writes exactly the trace
-   the parent writes for the same job: the bus is per-process state. *)
+   the parent writes for the same job. *)
 let test_fork_matches_serial () =
-  Trace.reset ();
   let f_parent = tmp_file "serial" and f_child = tmp_file "forked" in
   Fun.protect
     ~finally:(fun () ->
@@ -87,80 +85,176 @@ let test_fork_matches_serial () =
       Alcotest.(check bool) "forked trace matches serial" true
         (read_file f_parent = read_file f_child))
 
-(* Filter semantics, driven through the public bus with synthetic events:
-   same-key values union, distinct keys intersect, flow/link filters exclude
-   flowless/linkless events. *)
+(* Filter semantics, driven through buses with synthetic events: same-key
+   values union, distinct keys intersect, flow/link filters exclude
+   flowless/linkless events. Each bus shares one ring sink. *)
 let test_filters () =
-  Trace.reset ();
-  Trace.set_clock (fun () -> 0.);
   let ring, sink = Trace.ring_sink ~capacity:64 in
-  Trace.attach sink;
-  Fun.protect ~finally:Trace.reset (fun () ->
-      let burst () =
-        Trace.emit (Trace.Drop { pkt = pkt ~flow:1 0; link = (0, 3); qpkts = 9 });
-        Trace.emit (Trace.Drop { pkt = pkt ~flow:2 0; link = (4, 5); qpkts = 9 });
-        Trace.emit
-          (Trace.Enqueue { pkt = pkt ~flow:1 1; link = (0, 3); qpkts = 1 });
-        Trace.emit (Trace.Cwnd { flow = 2; cwnd = 4.; ssthresh = 8. });
-        Trace.emit
-          (Trace.Arb { link = (0, 3); delegate = 0; flows = 2; top_flows = 1 })
-      in
-      burst ();
-      Alcotest.(check int) "no filter passes all" 5 (Trace.ring_seen ring);
+  let burst bus =
+    Trace.emit bus
+      (Trace.Drop { pkt = pkt ~flow:1 0; link = (0, 3); qpkts = 9 });
+    Trace.emit bus
+      (Trace.Drop { pkt = pkt ~flow:2 0; link = (4, 5); qpkts = 9 });
+    Trace.emit bus
+      (Trace.Enqueue { pkt = pkt ~flow:1 1; link = (0, 3); qpkts = 1 });
+    Trace.emit bus (Trace.Cwnd { flow = 2; cwnd = 4.; ssthresh = 8. });
+    Trace.emit bus
+      (Trace.Arb { link = (0, 3); delegate = 0; flows = 2; top_flows = 1 })
+  in
+  let all = Trace.create [ sink ] in
+  burst all;
+  Alcotest.(check int) "no filter passes all" 5 (Trace.ring_seen ring);
+  Alcotest.(check int) "bus counts what passed" 5 (Trace.emitted all);
 
-      Trace.set_kind_filter (Some [ Trace.Kind.Drop ]);
-      burst ();
-      Alcotest.(check int) "kind filter" 7 (Trace.ring_seen ring);
+  burst (Trace.create ~kinds:[ Trace.Kind.Drop ] [ sink ]);
+  Alcotest.(check int) "kind filter" 7 (Trace.ring_seen ring);
 
-      Trace.set_flow_filter (Some [ 1 ]);
-      burst ();
-      (* kind=drop AND flow=1: one event per burst *)
-      Alcotest.(check int) "kind+flow intersect" 8 (Trace.ring_seen ring);
+  burst (Trace.create ~kinds:[ Trace.Kind.Drop ] ~flows:[ 1 ] [ sink ]);
+  (* kind=drop AND flow=1: one event per burst *)
+  Alcotest.(check int) "kind+flow intersect" 8 (Trace.ring_seen ring);
 
-      Trace.set_kind_filter None;
-      burst ();
-      (* flow=1 alone: drop+enqueue for flow 1; Cwnd is flow 2; Arb is
-         flowless and must not pass a flow filter. *)
-      Alcotest.(check int) "flow filter excludes flowless" 10
-        (Trace.ring_seen ring);
+  burst (Trace.create ~flows:[ 1 ] [ sink ]);
+  (* flow=1 alone: drop+enqueue for flow 1; Cwnd is flow 2; Arb is
+     flowless and must not pass a flow filter. *)
+  Alcotest.(check int) "flow filter excludes flowless" 10
+    (Trace.ring_seen ring);
 
-      Trace.set_flow_filter None;
-      Trace.set_link_filter (Some [ (4, 5) ]);
-      burst ();
-      Alcotest.(check int) "link filter excludes linkless" 11
-        (Trace.ring_seen ring);
-      match List.rev (Trace.ring_contents ring) with
-      | (_, Trace.Drop { link = (4, 5); _ }) :: _ -> ()
-      | (_, e) :: _ ->
-          Alcotest.failf "unexpected last event kind %s"
-            (Trace.Kind.name (Trace.kind_of e))
-      | [] -> Alcotest.fail "ring empty")
+  let links = Trace.create ~links:[ (4, 5) ] [ sink ] in
+  burst links;
+  Alcotest.(check int) "link filter excludes linkless" 11
+    (Trace.ring_seen ring);
+  Alcotest.(check int) "each bus counts its own" 1 (Trace.emitted links);
+  match List.rev (Trace.ring_contents ring) with
+  | (_, Trace.Drop { link = (4, 5); _ }) :: _ -> ()
+  | (_, e) :: _ ->
+      Alcotest.failf "unexpected last event kind %s"
+        (Trace.Kind.name (Trace.kind_of e))
+  | [] -> Alcotest.fail "ring empty"
+
+(* A bus stamps events from its clock; [with_clock] restamps the same bus,
+   sharing its sinks and its emitted count. *)
+let test_clock () =
+  let ring, sink = Trace.ring_sink ~capacity:4 in
+  let bus = Trace.with_clock (Trace.create [ sink ]) (fun () -> 1.5) in
+  Trace.emit bus (Trace.Ctrl { flow = 0; msgs = 1 });
+  let later = Trace.with_clock bus (fun () -> 2.5) in
+  Trace.emit later (Trace.Ctrl { flow = 1; msgs = 1 });
+  Alcotest.(check (list (float 0.))) "timestamps" [ 1.5; 2.5 ]
+    (List.map fst (Trace.ring_contents ring));
+  Alcotest.(check int) "shared count" 2 (Trace.emitted bus);
+  Alcotest.(check bool) "off stays off" false
+    (Trace.on (Trace.with_clock Trace.off (fun () -> 1.)))
 
 (* The ring keeps the newest [capacity] events, oldest first, and counts
    everything it ever saw. *)
 let test_ring_bounds () =
-  Trace.reset ();
-  Trace.set_clock (fun () -> 0.);
   let ring, sink = Trace.ring_sink ~capacity:4 in
-  Trace.attach sink;
-  Fun.protect ~finally:Trace.reset (fun () ->
-      for i = 0 to 9 do
-        Trace.emit (Trace.Ctrl { flow = i; msgs = 1 })
-      done;
-      Alcotest.(check int) "length bounded" 4 (Trace.ring_length ring);
-      Alcotest.(check int) "seen counts evicted" 10 (Trace.ring_seen ring);
-      Alcotest.(check int) "dropped = seen - capacity" 6
-        (Trace.ring_dropped ring);
-      let flows =
-        List.map
-          (function _, Trace.Ctrl { flow; _ } -> flow | _ -> -1)
-          (Trace.ring_contents ring)
-      in
-      Alcotest.(check (list int)) "newest four, oldest first" [ 6; 7; 8; 9 ]
-        flows);
+  let bus = Trace.create [ sink ] in
+  for i = 0 to 9 do
+    Trace.emit bus (Trace.Ctrl { flow = i; msgs = 1 })
+  done;
+  Alcotest.(check int) "length bounded" 4 (Trace.ring_length ring);
+  Alcotest.(check int) "seen counts evicted" 10 (Trace.ring_seen ring);
+  Alcotest.(check int) "dropped = seen - capacity" 6 (Trace.ring_dropped ring);
+  let flows =
+    List.map
+      (function _, Trace.Ctrl { flow; _ } -> flow | _ -> -1)
+      (Trace.ring_contents ring)
+  in
+  Alcotest.(check (list int)) "newest four, oldest first" [ 6; 7; 8; 9 ] flows;
   Alcotest.check_raises "capacity must be positive"
     (Invalid_argument "Trace.ring_sink: capacity must be positive") (fun () ->
       ignore (Trace.ring_sink ~capacity:0))
+
+(* One incast stack: eight DCTCP flows of seeded sizes into host 0 of a
+   five-host rack, shallow enough to mark and drop. [trace] and [attrib]
+   are its observers; [records] collects its attribution records as its
+   flows complete. *)
+let incast_stack ?trace ?(attrib = false) ~seed () =
+  let e = Engine.create () in
+  let clock () = Engine.now e in
+  let c =
+    Counters.create
+      ?trace:(Option.map (fun b -> Trace.with_clock b clock) trace)
+      ~delay:(if attrib then Delay.create e else Delay.off)
+      ()
+  in
+  let topo =
+    Topology.single_rack e c ~hosts:5 ~rate_bps:1e9 ~link_delay_s:10e-6
+      ~qdisc:(fun ~rate_bps:_ ->
+        Queue_disc.red_ecn c ~limit_pkts:30 ~mark_threshold:8)
+  in
+  let net = topo.Topology.net in
+  let records = ref [] in
+  let rng = Rng.create seed in
+  for id = 0 to 7 do
+    let src = topo.Topology.hosts.(1 + (id mod 4))
+    and dst = topo.Topology.hosts.(0) in
+    let start = float_of_int id *. 40e-6 in
+    let flow =
+      Flow.make ~id ~src ~dst ~size_pkts:(20 + Rng.int rng 80)
+        ~start_time:start ()
+    in
+    Engine.schedule_at e ~time:start (fun () ->
+        let recv = Receiver.create net ~flow () in
+        let init_rtt = Topology.base_rtt topo ~src ~dst ~data_bytes:1500 in
+        let on_complete _ ~fct:_ =
+          Receiver.stop recv;
+          Option.iter
+            (fun r -> records := r :: !records)
+            (Delay.take c.Counters.delay ~flow:id)
+        in
+        Sender_base.start
+          (Dctcp.create net ~flow ~conf:(Dctcp.conf ~init_rtt ()) ~on_complete
+             ()))
+  done;
+  (e, c, records)
+
+(* An event's JSON line without its packet id: ids come from [Packet]'s
+   process-wide counter, which two interleaved runs share. *)
+let without_pkt_id =
+  let id = Str.regexp {|"pkt":[0-9]+|} in
+  fun line -> Str.global_replace id {|"pkt":_|} line
+
+let ring_lines ring =
+  List.map
+    (fun (time, ev) -> without_pkt_id (Trace.to_json ~time ev))
+    (Trace.ring_contents ring)
+
+(* Two simulations in one process keep their own observers: a traced stack
+   and an attributed one, stepped alternately in 100 us chunks, each
+   reproduce their solo runs — the traced stack's events and timestamps,
+   the other's attribution records — and the untraced stack emits
+   nothing. *)
+let test_two_stacks_keep_their_observers () =
+  let ring_solo, sink = Trace.ring_sink ~capacity:100_000 in
+  let e, _, _ = incast_stack ~trace:(Trace.create [ sink ]) ~seed:1 () in
+  Engine.run e;
+  let e, _, solo_records = incast_stack ~attrib:true ~seed:2 () in
+  Engine.run e;
+  let ring, sink = Trace.ring_sink ~capacity:100_000 in
+  let bus = Trace.create [ sink ] in
+  let ea, _, _ = incast_stack ~trace:bus ~seed:1 () in
+  let eb, cb, records = incast_stack ~attrib:true ~seed:2 () in
+  let t = ref 0. in
+  while Engine.pending ea + Engine.pending eb > 0 do
+    t := !t +. 100e-6;
+    Engine.run ~until:!t ea;
+    Engine.run ~until:!t eb
+  done;
+  Alcotest.(check bool) "traced stack emitted" true (Trace.ring_seen ring > 0);
+  Alcotest.(check (list string)) "traced stack's events equal its solo run"
+    (ring_lines ring_solo) (ring_lines ring);
+  Alcotest.(check int) "bus counts its own run" (Trace.ring_seen ring)
+    (Trace.emitted bus);
+  Alcotest.(check bool) "untraced stack's bus is off" false
+    (Trace.on cb.Counters.trace);
+  Alcotest.(check int) "untraced stack emits nothing" 0
+    (Trace.emitted cb.Counters.trace);
+  Alcotest.(check int) "every attributed flow completed" 8
+    (List.length !records);
+  Alcotest.(check bool) "attribution records equal their solo run" true
+    (List.equal ( = ) !solo_records !records)
 
 (* Kind names round-trip (the CLI parses them back). *)
 let test_kind_names_roundtrip () =
@@ -180,7 +274,6 @@ let test_kind_names_roundtrip () =
 (* Runner surfaces stray packets (none on a healthy run) and the engine's
    peak heap depth. *)
 let test_runner_counters () =
-  Trace.reset ();
   let sc = Scenario.testbed ~num_flows:15 ~seed:4 ~load:0.5 () in
   let r = Runner.run ~profile:true Runner.Dctcp sc in
   Alcotest.(check int) "no stray packets" 0 r.Runner.stray_pkts;
@@ -204,7 +297,10 @@ let suite =
       test_jsonl_reruns_byte_identical;
     Alcotest.test_case "fork matches serial" `Quick test_fork_matches_serial;
     Alcotest.test_case "filters" `Quick test_filters;
+    Alcotest.test_case "clock" `Quick test_clock;
     Alcotest.test_case "ring bounds" `Quick test_ring_bounds;
     Alcotest.test_case "kind names roundtrip" `Quick test_kind_names_roundtrip;
     Alcotest.test_case "runner counters" `Quick test_runner_counters;
+    Alcotest.test_case "two stacks keep their observers" `Quick
+      test_two_stacks_keep_their_observers;
   ]

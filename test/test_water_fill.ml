@@ -1,5 +1,6 @@
 (* The fluid tier's water-fill ([Water_fill]) against the list-based pass
-   it replaced, kept here verbatim as the oracle, on random flow sets over
+   it replaced, kept here as the oracle (verbatim but for the monotone
+   step-share clamp both now apply), on random flow sets over
    a k=4 fat-tree with random packet-tier counts and one downed link; and
    the max-min certificate on its result. *)
 
@@ -44,22 +45,26 @@ let allocate fls entries =
       entries
   in
   let unfrozen = ref (List.length fls) in
+  let prev = ref 0. in
   while !unfrozen > 0 do
-    let s =
+    let key =
       List.fold_left
         (fun acc e ->
           if e.cnt > 0 then Float.min acc (e.rem /. float_of_int e.cnt) else acc)
         infinity parts
     in
-    if s = infinity then begin
+    if key = infinity then begin
       List.iter (fun f -> f.frozen <- true) fls;
       unfrozen := 0
     end
     else begin
-      let s = Float.max 0. s in
+      (* Monotone step shares, as in [Water_fill.run]; ties on the raw
+         key. *)
+      let s = Float.max !prev (Float.max 0. key) in
+      prev := s;
       List.iter
         (fun e ->
-          if e.cnt > 0 && e.rem /. float_of_int e.cnt = s then begin
+          if e.cnt > 0 && e.rem /. float_of_int e.cnt = key then begin
             e.bott <- true;
             e.bott_any <- true
           end)
@@ -231,6 +236,6 @@ let prop_max_min =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_matches_oracle;
-    QCheck_alcotest.to_alcotest prop_max_min;
+    Qseed.to_alcotest prop_matches_oracle;
+    Qseed.to_alcotest prop_max_min;
   ]

@@ -530,7 +530,7 @@ let suite =
     Alcotest.test_case "cdf sampling deterministic" `Quick
       test_cdf_sampling_deterministic;
     Alcotest.test_case "builtin lookup" `Quick test_builtin_lookup;
-    QCheck_alcotest.to_alcotest prop_empirical_quantiles;
+    Qseed.to_alcotest prop_empirical_quantiles;
     Alcotest.test_case "cdf file ok" `Quick test_cdf_file_ok;
     Alcotest.test_case "cdf file malformed" `Quick test_cdf_file_malformed;
     Alcotest.test_case "cdf cache key tracks shape" `Quick

@@ -15,6 +15,7 @@ let rule_ids =
     "no-marshal";
     "no-obj-magic";
     "no-poly-compare-sort";
+    "no-global-state";
   ]
 
 (* Rules enforced by the typedtree dataflow tier (lint_flow). The parse
@@ -373,6 +374,37 @@ let is_poly_compare (e : Parsetree.expression) =
         | _ -> false)
     | _ -> false
 
+(* The constructors of mutable state that [no-global-state] looks for. *)
+let is_state_ctor = function
+  | Longident.Lident "ref"
+  | Longident.Ldot (Longident.Lident "Stdlib", "ref")
+  | Longident.Ldot (Longident.Lident ("Hashtbl" | "Det_tbl"), "create")
+  | Longident.Ldot (Longident.Lident ("Array" | "Atomic"), "make") ->
+      true
+  | _ -> false
+
+(* [no-global-state] covers the simulator library only: tools, benches and
+   the CLI may keep process state. *)
+let under_lib file = List.mem "lib" (String.split_on_char '/' file)
+
+(* The first state constructor a top-level binding evaluates when its
+   module initialises, if any: an application reached without crossing a
+   [fun] (a function body runs per call, and so per run). *)
+let init_time_state (e : Parsetree.expression) =
+  let found = ref None in
+  let expr (sub : Ast_iterator.iterator) (e : Parsetree.expression) =
+    match e.Parsetree.pexp_desc with
+    | Parsetree.Pexp_fun _ | Parsetree.Pexp_function _ -> ()
+    | Parsetree.Pexp_apply
+        ({ Parsetree.pexp_desc = Parsetree.Pexp_ident { txt; _ }; _ }, _)
+      when !found = None && is_state_ctor txt ->
+        found := Some txt
+    | _ -> Ast_iterator.default_iterator.expr sub e
+  in
+  let it = { Ast_iterator.default_iterator with expr } in
+  it.Ast_iterator.expr it e;
+  !found
+
 let collect_ast_findings ~file ast =
   let acc = ref [] in
   let report rule loc detail =
@@ -456,6 +488,35 @@ let collect_ast_findings ~file ast =
     { Ast_iterator.default_iterator with expr; module_expr; open_description }
   in
   it.Ast_iterator.structure it ast;
+  (* Top-level bindings, including those of nested [struct]s. *)
+  let rec global_state (items : Parsetree.structure) =
+    List.iter
+      (fun (item : Parsetree.structure_item) ->
+        match item.Parsetree.pstr_desc with
+        | Parsetree.Pstr_value (_, vbs) ->
+            List.iter
+              (fun (vb : Parsetree.value_binding) ->
+                match init_time_state vb.Parsetree.pvb_expr with
+                | Some ctor ->
+                    report "no-global-state" vb.Parsetree.pvb_loc
+                      (Printf.sprintf
+                         "top-level `%s` is process-global mutable state, \
+                          shared by every simulation in the process; make \
+                          it per-run state reached through the run's values \
+                          (Counters.t, Net.t, Engine.t)"
+                         (ident_string ctor))
+                | None -> ())
+              vbs
+        | Parsetree.Pstr_module mb -> module_state mb.Parsetree.pmb_expr
+        | _ -> ())
+      items
+  and module_state (m : Parsetree.module_expr) =
+    match m.Parsetree.pmod_desc with
+    | Parsetree.Pmod_structure items -> global_state items
+    | Parsetree.Pmod_constraint (m, _) -> module_state m
+    | _ -> ()
+  in
+  if under_lib file then global_state ast;
   !acc
 
 (* ---- entry points -------------------------------------------------------- *)

@@ -13,6 +13,9 @@
     - [no-obj-magic]: [Obj.magic] anywhere
     - [no-poly-compare-sort]: the polymorphic [compare] passed to a sort
       combinator, bare or eta-expanded [(fun a b -> compare a b)]
+    - [no-global-state]: under [lib/], a top-level binding whose
+      initialisation builds a [ref], [Hashtbl.create], [Det_tbl.create],
+      [Array.make] or [Atomic.make] (run state belongs to the run's values)
 
     There are no per-file allowlists: every blessed site carries its own
     pragma comment on the same line or the line above:
