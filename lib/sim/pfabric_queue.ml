@@ -1,24 +1,52 @@
-(* Buffer as a growable array of packet options; holes are compacted lazily
-   by swapping with the last live element on removal. Order information
-   needed for starvation avoidance comes from packet seq numbers, not from
-   buffer position. *)
+(* The buffer is parallel arrays: the packets, and beside them the three
+   keys that scheduling and dropping compare, so the scans read flat
+   [float]/[int] arrays instead of each packet. Hosts stamp [prio], [seq]
+   and [flow] before [Net.send] and nothing writes them in flight, so the
+   cached keys never go stale. A removal moves the last live element into
+   the hole. Equal keys are broken by buffer position, so the positions
+   are part of the schedule: a heap or any other order would change
+   results. *)
 
-type buf = { mutable items : Packet.t option array; mutable len : int }
+type buf = {
+  pkts : Packet.t array;
+  prio : float array;
+  seq : int array;
+  flow : int array;
+  empty : Packet.t;  (* fills dead slots so they retain no packet *)
+  mutable len : int;
+}
 
-let buf_create limit = { items = Array.make (max limit 1) None; len = 0 }
+let buf_create limit =
+  let n = max limit 1 in
+  let empty = Packet.dummy () in
+  {
+    pkts = Array.make n empty;
+    prio = Array.make n 0.;
+    seq = Array.make n 0;
+    flow = Array.make n 0;
+    empty;
+    len = 0;
+  }
 
 let buf_add b pkt =
+  let i = b.len in
   (* lint: allow pool-lifetime — ownership transfers to the shared buffer; freed on eviction or delivery *)
-  b.items.(b.len) <- Some pkt;
-  b.len <- b.len + 1
+  b.pkts.(i) <- pkt;
+  b.prio.(i) <- pkt.Packet.prio;
+  b.seq.(i) <- pkt.Packet.seq;
+  b.flow.(i) <- pkt.Packet.flow;
+  b.len <- i + 1
 
 let buf_remove b i =
   let last = b.len - 1 in
-  b.items.(i) <- b.items.(last);
-  b.items.(last) <- None;
+  (* lint: allow pool-lifetime — a move within the buffer, which keeps ownership *)
+  b.pkts.(i) <- b.pkts.(last);
+  b.prio.(i) <- b.prio.(last);
+  b.seq.(i) <- b.seq.(last);
+  b.flow.(i) <- b.flow.(last);
+  (* lint: allow pool-lifetime — the sentinel is never pooled *)
+  b.pkts.(last) <- b.empty;
   b.len <- last
-
-let buf_get b i = match b.items.(i) with Some p -> p | None -> assert false
 
 (* Telemetry tiers for the continuous [prio] value (remaining flow size in
    segments): tier = min 7 (floor (log2 (1 + prio))), i.e. tier 0 holds
@@ -40,25 +68,24 @@ let create counters ~limit_pkts =
      ties broken toward later seq so we evict the youngest of the worst
      flow's packets first. *)
   let worst_index () =
-    let best = ref (-1) in
-    for i = 0 to b.len - 1 do
-      let p = buf_get b i in
-      match !best with
-      | -1 -> best := i
-      | j ->
-          let q = buf_get b j in
-          if
-            p.Packet.prio > q.Packet.prio
-            || (p.Packet.prio = q.Packet.prio && p.Packet.seq > q.Packet.seq)
-          then best := i
-    done;
-    !best
+    if b.len = 0 then -1
+    else begin
+      let worst = ref 0 in
+      for i = 1 to b.len - 1 do
+        let w = !worst in
+        if
+          b.prio.(i) > b.prio.(w)
+          || (b.prio.(i) = b.prio.(w) && b.seq.(i) > b.seq.(w))
+        then worst := i
+      done;
+      !worst
+    end
   in
   let enqueue pkt =
     if b.len >= limit_pkts then begin
       let w = worst_index () in
-      if w >= 0 && (buf_get b w).Packet.prio > pkt.Packet.prio then begin
-        let victim = buf_get b w in
+      if w >= 0 && b.prio.(w) > pkt.Packet.prio then begin
+        let victim = b.pkts.(w) in
         buf_remove b w;
         bytes := !bytes - victim.Packet.size;
         incr drops;
@@ -85,20 +112,18 @@ let create counters ~limit_pkts =
          flow (starvation avoidance keeps per-flow delivery in order). *)
       let best = ref 0 in
       for i = 1 to b.len - 1 do
-        let p = buf_get b i and q = buf_get b !best in
+        let j = !best in
         if
-          p.Packet.prio < q.Packet.prio
-          || (p.Packet.prio = q.Packet.prio && p.Packet.seq < q.Packet.seq)
+          b.prio.(i) < b.prio.(j)
+          || (b.prio.(i) = b.prio.(j) && b.seq.(i) < b.seq.(j))
         then best := i
       done;
-      let chosen_flow = (buf_get b !best).Packet.flow in
+      let chosen_flow = b.flow.(!best) in
       let pick = ref !best in
       for i = 0 to b.len - 1 do
-        let p = buf_get b i in
-        if p.Packet.flow = chosen_flow && p.Packet.seq < (buf_get b !pick).Packet.seq
-        then pick := i
+        if b.flow.(i) = chosen_flow && b.seq.(i) < b.seq.(!pick) then pick := i
       done;
-      let pkt = buf_get b !pick in
+      let pkt = b.pkts.(!pick) in
       buf_remove b !pick;
       bytes := !bytes - pkt.Packet.size;
       Queue_disc.count_dequeue loc counters ~qpkts:b.len pkt;
@@ -108,10 +133,9 @@ let create counters ~limit_pkts =
   let band_occ () =
     let occ = Array.make tiers (0, 0) in
     for i = 0 to b.len - 1 do
-      let p = buf_get b i in
-      let t = tier_of p.Packet.prio in
+      let t = tier_of b.prio.(i) in
       let pk, by = occ.(t) in
-      occ.(t) <- (pk + 1, by + p.Packet.size)
+      occ.(t) <- (pk + 1, by + b.pkts.(i).Packet.size)
     done;
     occ
   in

@@ -8,6 +8,10 @@
     lower [prio] (higher importance) than the worst buffered packet, the
     worst buffered packet is evicted; otherwise the arrival is dropped.
 
+    Packets that tie on [(prio, seq)] go out in buffer order, and a removal
+    moves the last buffered packet into the freed slot, so the schedule
+    depends on buffer positions, not only on arrival order.
+
     The buffer is tiny in pFabric (≈ 2 × BDP), so linear scans are exact and
     cheap. *)
 

@@ -1,52 +1,74 @@
 module Router = struct
-  type entry = { flow : int; mutable request_bps : float; arrival : int }
+  type entry = { flow : int; mutable request_bps : float }
 
+  (* [order.(0 .. len-1)] holds the live entries in arrival order, so FCFS
+     needs no sort: a new flow is appended and a removal shifts the later
+     entries down. *)
   type t = {
     capacity_bps : float;
-    entries : (int, entry) Hashtbl.t;
-    mutable next_arrival : int;
+    index : (int, entry) Hashtbl.t;
+    mutable order : entry array;
+    mutable len : int;
   }
 
   let create ~capacity_bps =
-    { capacity_bps; entries = Hashtbl.create 32; next_arrival = 0 }
+    { capacity_bps; index = Hashtbl.create 32; order = [||]; len = 0 }
 
   let update t ~flow ~request_bps =
-    match Hashtbl.find_opt t.entries flow with
+    match Hashtbl.find_opt t.index flow with
     | Some e -> e.request_bps <- Float.max 0. request_bps
     | None ->
-        Hashtbl.replace t.entries flow
-          { flow; request_bps = Float.max 0. request_bps; arrival = t.next_arrival };
-        t.next_arrival <- t.next_arrival + 1
+        let e = { flow; request_bps = Float.max 0. request_bps } in
+        Hashtbl.replace t.index flow e;
+        if t.len = Array.length t.order then begin
+          let grown = Array.make (max 16 (2 * t.len)) e in
+          Array.blit t.order 0 grown 0 t.len;
+          t.order <- grown
+        end;
+        t.order.(t.len) <- e;
+        t.len <- t.len + 1
 
-  let remove t ~flow = Hashtbl.remove t.entries flow
-  let flows t = Hashtbl.length t.entries
+  let remove t ~flow =
+    if Hashtbl.mem t.index flow then begin
+      Hashtbl.remove t.index flow;
+      let i = ref 0 in
+      while t.order.(!i).flow <> flow do
+        incr i
+      done;
+      Array.blit t.order (!i + 1) t.order !i (t.len - !i - 1);
+      t.len <- t.len - 1
+    end
+
+  let flows t = t.len
 
   (* Router crash / link outage: reservations at this router are lost and
-     rebuilt from the hosts' per-RTT rate requests. [next_arrival] keeps
-     counting so re-registered flows queue behind surviving FCFS order. *)
-  let clear t = Hashtbl.reset t.entries
+     rebuilt from the hosts' per-RTT rate requests, re-registering in the
+     order the requests arrive. *)
+  let clear t =
+    Hashtbl.reset t.index;
+    t.order <- [||];
+    t.len <- 0
 
+  (* FCFS greedy satisfaction of reservations, then an equal share of what
+     is left: one pass over the arrival-ordered entries. *)
   let allocation t ~flow =
-    let n = Hashtbl.length t.entries in
+    let n = t.len in
     if n = 0 then 0.
     else begin
-      let sorted =
-        Det_tbl.fold (fun _ e acc -> e :: acc) t.entries []
-        |> List.sort (fun a b -> compare a.arrival b.arrival)
-      in
-      (* FCFS greedy satisfaction of reservations. *)
       let avail = ref t.capacity_bps in
-      let granted = Hashtbl.create n in
-      List.iter
-        (fun e ->
-          let g = Float.min e.request_bps !avail in
-          Hashtbl.replace granted e.flow g;
-          avail := !avail -. g)
-        sorted;
+      let granted = ref 0. in
+      let found = ref false in
+      for i = 0 to n - 1 do
+        let e = t.order.(i) in
+        let g = Float.min e.request_bps !avail in
+        if e.flow = flow then begin
+          granted := g;
+          found := true
+        end;
+        avail := !avail -. g
+      done;
       let fair = Float.max 0. !avail /. float_of_int n in
-      match Hashtbl.find_opt granted flow with
-      | Some g -> g +. fair
-      | None -> 0.
+      if !found then !granted +. fair else 0.
     end
 end
 

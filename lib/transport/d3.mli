@@ -25,8 +25,8 @@ module Router : sig
   val flows : t -> int
 
   (** Drop all reservations (router crash / link outage); hosts rebuild
-      them with their per-RTT rate requests. FCFS arrival numbering keeps
-      counting across the outage. *)
+      them with their per-RTT rate requests, which re-register the flows
+      in the order they arrive. *)
   val clear : t -> unit
 
   (** Rate granted to [flow]: its satisfied reservation (FCFS) plus an

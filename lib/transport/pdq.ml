@@ -11,29 +11,21 @@ module Arbiter = struct
     deadline : float option;
   }
 
-  type t = { capacity_bps : float; entries : (int, entry) Hashtbl.t }
+  (* [order.(0 .. len-1)] holds the live entries in criticality order
+     ([compare_entries]); [update] restores it in place. *)
+  type t = {
+    capacity_bps : float;
+    index : (int, entry) Hashtbl.t;
+    mutable order : entry array;
+    mutable len : int;
+  }
 
-  let create ~capacity_bps = { capacity_bps; entries = Hashtbl.create 32 }
-
-  let update t ~flow ~remaining_pkts ~nic_bps ~usable_bps ~deadline =
-    match Hashtbl.find_opt t.entries flow with
-    | Some e ->
-        e.remaining_pkts <- remaining_pkts;
-        e.nic_bps <- nic_bps;
-        e.usable_bps <- usable_bps
-    | None ->
-        Hashtbl.replace t.entries flow
-          { flow; remaining_pkts; nic_bps; usable_bps; deadline }
-
-  let remove t ~flow = Hashtbl.remove t.entries flow
-  let flows t = Hashtbl.length t.entries
-
-  (* Switch crash / link outage: flow state at this switch is lost; hosts
-     repopulate it through their per-RTT refresh headers. *)
-  let clear t = Hashtbl.reset t.entries
+  let create ~capacity_bps =
+    { capacity_bps; index = Hashtbl.create 32; order = [||]; len = 0 }
 
   (* Criticality order: earliest deadline first, then shortest remaining,
-     then flow id for determinism (PDQ's EDF+SJF tie-breaking). *)
+     then flow id for determinism (PDQ's EDF+SJF tie-breaking). Flow ids
+     are unique, so this is a total order. *)
   let compare_entries a b =
     match (a.deadline, b.deadline) with
     | Some da, Some db when da <> db -> compare da db
@@ -43,31 +35,88 @@ module Arbiter = struct
         let c = compare a.remaining_pkts b.remaining_pkts in
         if c <> 0 then c else compare a.flow b.flow
 
+  (* Insertion sort: linear when one entry is out of place, which is all an
+     [update] can leave behind. *)
+  let restore_order t =
+    let a = t.order in
+    for i = 1 to t.len - 1 do
+      let x = a.(i) in
+      if compare_entries a.(i - 1) x > 0 then begin
+        let j = ref (i - 1) in
+        while !j >= 0 && compare_entries a.(!j) x > 0 do
+          a.(!j + 1) <- a.(!j);
+          decr j
+        done;
+        a.(!j + 1) <- x
+      end
+    done
+
+  let update t ~flow ~remaining_pkts ~nic_bps ~usable_bps ~deadline =
+    (match Hashtbl.find_opt t.index flow with
+    | Some e ->
+        e.remaining_pkts <- remaining_pkts;
+        e.nic_bps <- nic_bps;
+        e.usable_bps <- usable_bps
+    | None ->
+        let e = { flow; remaining_pkts; nic_bps; usable_bps; deadline } in
+        Hashtbl.replace t.index flow e;
+        if t.len = Array.length t.order then begin
+          let grown = Array.make (max 16 (2 * t.len)) e in
+          Array.blit t.order 0 grown 0 t.len;
+          t.order <- grown
+        end;
+        t.order.(t.len) <- e;
+        t.len <- t.len + 1);
+    restore_order t
+
+  let remove t ~flow =
+    if Hashtbl.mem t.index flow then begin
+      Hashtbl.remove t.index flow;
+      let i = ref 0 in
+      while t.order.(!i).flow <> flow do
+        incr i
+      done;
+      Array.blit t.order (!i + 1) t.order !i (t.len - !i - 1);
+      t.len <- t.len - 1
+    end
+
+  let flows t = t.len
+
+  (* Switch crash / link outage: flow state at this switch is lost; hosts
+     repopulate it through their per-RTT refresh headers. *)
+  let clear t =
+    Hashtbl.reset t.index;
+    t.order <- [||];
+    t.len <- 0
+
   (* The rate this link would grant [flow]: walk flows in criticality
      order; each higher-priority flow consumes only what it can use
      (suppressed demand), and a flow about to finish cedes its slot to the
      next in line (Early Start). *)
   let allocation t ~flow ~rtt ~mss_bits =
-    let sorted =
-      Det_tbl.fold (fun _ e acc -> e :: acc) t.entries []
-      |> List.sort compare_entries
-    in
-    let rec walk avail = function
-      | [] -> 0.
-      | e :: rest ->
-          let grant = Float.min e.nic_bps avail in
-          if e.flow = flow then grant
-          else
-            let consumed = Float.min grant e.usable_bps in
-            let finish_time =
-              if consumed > 0. then
-                float_of_int e.remaining_pkts *. mss_bits /. consumed
-              else infinity
-            in
-            let consumed = if finish_time < es_rtts *. rtt then 0. else consumed in
-            walk (Float.max 0. (avail -. consumed)) rest
-    in
-    walk t.capacity_bps sorted
+    let avail = ref t.capacity_bps in
+    let grant = ref 0. in
+    let i = ref 0 in
+    while !i < t.len do
+      let e = t.order.(!i) in
+      let g = Float.min e.nic_bps !avail in
+      if e.flow = flow then begin
+        grant := g;
+        i := t.len
+      end
+      else begin
+        let consumed = Float.min g e.usable_bps in
+        let finish_time =
+          if consumed > 0. then
+            float_of_int e.remaining_pkts *. mss_bits /. consumed
+          else infinity
+        in
+        let consumed = if finish_time < es_rtts *. rtt then 0. else consumed in
+        avail := Float.max 0. (!avail -. consumed);
+        incr i
+      end
+    done;
+    !grant
 end
 
 type host = {

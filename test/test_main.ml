@@ -9,6 +9,7 @@ let suites =
     ("protocols", Test_protocols.suite);
     ("pdq", Test_pdq.suite);
     ("d3", Test_d3.suite);
+    ("baselines", Test_baselines.suite);
     ("arbitration", Test_arbitration.suite);
     ("water-fill", Test_water_fill.suite);
     ("alloc", Test_alloc.suite);

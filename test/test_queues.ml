@@ -165,6 +165,21 @@ let test_pfabric_drop_arrival_if_worst () =
   Alcotest.(check int) "arrival dropped" 1 c.Counters.dropped_pkts;
   Alcotest.(check int) "still 2" 2 (q.Queue_disc.pkts ())
 
+(* Packets that tie on (prio, seq) across flows go out in buffer order, and
+   a removal moves the last buffered packet into the freed slot: after the
+   first dequeue, flow 4's packet sits ahead of flows 2 and 3. *)
+let test_pfabric_ties_follow_buffer_order () =
+  let c = Counters.create () in
+  let q = Pfabric_queue.create c ~limit_pkts:10 in
+  q.Queue_disc.enqueue (mk ~flow:1 ~seq:0 ~prio:1. ());
+  List.iter
+    (fun flow -> q.Queue_disc.enqueue (mk ~flow ~seq:0 ~prio:5. ()))
+    [ 2; 3; 4 ];
+  let flows =
+    List.init 4 (fun _ -> (Option.get (q.Queue_disc.dequeue ())).Packet.flow)
+  in
+  Alcotest.(check (list int)) "buffer order breaks ties" [ 1; 4; 3; 2 ] flows
+
 (* Conservation: enqueued = dequeued + dropped + resident, for any queue. *)
 let conservation_property make_queue =
   QCheck.Test.make ~count:200
@@ -228,6 +243,8 @@ let suite =
     Alcotest.test_case "pfabric starvation avoidance" `Quick test_pfabric_starvation_avoidance;
     Alcotest.test_case "pfabric drop worst" `Quick test_pfabric_drop_worst;
     Alcotest.test_case "pfabric drop arrival if worst" `Quick test_pfabric_drop_arrival_if_worst;
+    Alcotest.test_case "pfabric ties follow buffer order" `Quick
+      test_pfabric_ties_follow_buffer_order;
     Qseed.to_alcotest prop_droptail_conservation;
     Qseed.to_alcotest prop_prio_conservation;
     Qseed.to_alcotest prop_pfabric_conservation;

@@ -289,6 +289,49 @@ let test_runner_counters () =
   Alcotest.(check (list (pair string int))) "profiling off" []
     r'.Runner.sched_profile
 
+(* Every stray on the 400-flow incast rack is a late delivery: a data or
+   ACK packet that reached its destination after the flow's handler
+   closed. None is unroutable. pFabric accounts for nearly all of them
+   (see DESIGN.md §11). *)
+let test_incast_strays_are_late_deliveries () =
+  let pfabric_strays = ref 0 in
+  List.iter
+    (fun load ->
+      let sc = Scenario.worker_aggregator ~num_flows:400 ~seed:1 ~load () in
+      List.iter
+        (fun proto ->
+          let ring, sink = Trace.ring_sink ~capacity:1024 in
+          let bus = Trace.create ~kinds:[ Trace.Kind.Stray ] [ sink ] in
+          let r = Runner.run ~trace:bus proto sc in
+          let what = Printf.sprintf "%s at load %g" (Runner.name proto) load in
+          Alcotest.(check int) (what ^ ": every stray traced") r.Runner.stray_pkts
+            (Trace.ring_seen ring);
+          Alcotest.(check int) (what ^ ": ring kept all") 0 (Trace.ring_dropped ring);
+          List.iter
+            (function
+              | _, Trace.Stray { pkt; node } ->
+                  Alcotest.(check int) (what ^ ": stray at its destination")
+                    pkt.Packet.dst node;
+                  Alcotest.(check bool) (what ^ ": data or ACK") true
+                    (pkt.Packet.kind = Packet.Data || pkt.Packet.kind = Packet.Ack)
+              | _ -> Alcotest.fail (what ^ ": non-stray event on a stray bus"))
+            (Trace.ring_contents ring);
+          match proto with
+          | Runner.Pfabric ->
+              pfabric_strays := !pfabric_strays + r.Runner.stray_pkts
+          | _ -> ())
+        [
+          Runner.pase;
+          Runner.Dctcp;
+          Runner.D2tcp;
+          Runner.L2dct;
+          Runner.Pfabric;
+          Runner.Pdq;
+          Runner.D3;
+        ])
+    [ 0.3; 0.6; 0.9 ];
+  Alcotest.(check bool) "pFabric strays observed" true (!pfabric_strays > 0)
+
 let suite =
   [
     Alcotest.test_case "disabled bus is silent" `Quick
@@ -301,6 +344,8 @@ let suite =
     Alcotest.test_case "ring bounds" `Quick test_ring_bounds;
     Alcotest.test_case "kind names roundtrip" `Quick test_kind_names_roundtrip;
     Alcotest.test_case "runner counters" `Quick test_runner_counters;
+    Alcotest.test_case "incast strays are late deliveries" `Quick
+      test_incast_strays_are_late_deliveries;
     Alcotest.test_case "two stacks keep their observers" `Quick
       test_two_stacks_keep_their_observers;
   ]
