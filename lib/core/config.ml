@@ -17,7 +17,6 @@ type t = {
   ctrl_loss_prob : float;
   state_expiry_rounds : int;
   queue_limit_pkts : int;
-  mark_threshold : int;
 }
 
 let default =
@@ -38,7 +37,6 @@ let default =
     ctrl_loss_prob = 0.;
     state_expiry_rounds = 20;
     queue_limit_pkts = 500;
-    mark_threshold = 20;
   }
 
 let switch_survey =

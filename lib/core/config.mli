@@ -32,7 +32,6 @@ type t = {
       (** arbitrator entries not refreshed for this many rounds are dropped
           (soft-state expiry for dead or unreachable sources) *)
   queue_limit_pkts : int;  (** shared prio-queue buffer (500 pkts) *)
-  mark_threshold : int;  (** per-band ECN threshold K *)
 }
 
 val default : t

@@ -171,25 +171,17 @@ let link_of = function
 
 (* ---- serialization ------------------------------------------------------ *)
 
-(* JSON has no nan/inf; those become null. %.17g round-trips doubles, so a
-   rerun of the same simulation serializes to identical bytes. *)
-let json_float f =
-  if Float.is_nan f || Float.abs f = Float.infinity then "null"
-  else Printf.sprintf "%.17g" f
-
-let json_opt_float = function None -> "null" | Some f -> json_float f
-
 let pkt_fields (p : Packet.t) =
   Printf.sprintf
     {|"pkt":%d,"flow":%d,"ptype":"%s","src":%d,"dst":%d,"seq":%d,"size":%d,"tos":%d,"prio":%s,"ce":%b|}
     p.Packet.id p.Packet.flow
     (Packet.kind_str p.Packet.kind)
     p.Packet.src p.Packet.dst p.Packet.seq p.Packet.size p.Packet.tos
-    (json_float p.Packet.prio)
+    (Json.float p.Packet.prio)
     p.Packet.ecn_ce
 
 let to_json ~time ev =
-  let head = Printf.sprintf {|{"t":%s,"kind":"%s",|} (json_float time)
+  let head = Printf.sprintf {|{"t":%s,"kind":"%s",|} (Json.float time)
       (Kind.name (kind_of ev))
   in
   let body =
@@ -207,19 +199,19 @@ let to_json ~time ev =
     | Flow_start { flow; src; dst; size_pkts; deadline } ->
         Printf.sprintf
           {|"flow":%d,"src":%d,"dst":%d,"size_pkts":%d,"deadline":%s|} flow src
-          dst size_pkts (json_opt_float deadline)
+          dst size_pkts (Json.opt_float deadline)
     | Flow_finish { flow; fct } ->
-        Printf.sprintf {|"flow":%d,"fct":%s|} flow (json_float fct)
+        Printf.sprintf {|"flow":%d,"fct":%s|} flow (Json.float fct)
     | Flow_timeout { flow; backoff } ->
         Printf.sprintf {|"flow":%d,"backoff":%d|} flow backoff
     | Cwnd { flow; cwnd; ssthresh } ->
         Printf.sprintf {|"flow":%d,"cwnd":%s,"ssthresh":%s|} flow
-          (json_float cwnd) (json_float ssthresh)
+          (Json.float cwnd) (Json.float ssthresh)
     | Rate { flow; rate_bps } ->
-        Printf.sprintf {|"flow":%d,"rate_bps":%s|} flow (json_float rate_bps)
+        Printf.sprintf {|"flow":%d,"rate_bps":%s|} flow (Json.float rate_bps)
     | Queue_assign { flow; queue; rref_bps } ->
         Printf.sprintf {|"flow":%d,"queue":%d,"rref_bps":%s|} flow queue
-          (json_float rref_bps)
+          (Json.float rref_bps)
     | Arb { link = a, b; delegate; flows; top_flows } ->
         Printf.sprintf
           {|"link":[%d,%d],"delegate":%d,"flows":%d,"top_flows":%d|} a b
@@ -227,13 +219,13 @@ let to_json ~time ev =
     | Arb_alloc { link = a, b; delegate; flow; queue; rref_bps } ->
         Printf.sprintf
           {|"link":[%d,%d],"delegate":%d,"flow":%d,"queue":%d,"rref_bps":%s|} a
-          b delegate flow queue (json_float rref_bps)
+          b delegate flow queue (Json.float rref_bps)
     | Delegate { parent = a, b; tor; share_bps } ->
         Printf.sprintf {|"parent":[%d,%d],"tor":%d,"share_bps":%s|} a b tor
-          (json_float share_bps)
+          (Json.float share_bps)
     | Ctrl { flow; msgs } -> Printf.sprintf {|"flow":%d,"msgs":%d|} flow msgs
     | Alpha { flow; alpha } ->
-        Printf.sprintf {|"flow":%d,"alpha":%s|} flow (json_float alpha)
+        Printf.sprintf {|"flow":%d,"alpha":%s|} flow (Json.float alpha)
     | Link_state { link = a, b; up } ->
         Printf.sprintf {|"link":[%d,%d],"up":%b|} a b up
     | Blackhole { pkt; link = a, b } ->

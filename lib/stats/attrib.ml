@@ -101,12 +101,8 @@ let component_sum t ~band ~component =
       | None -> nan
       | Some i -> b.comps.(i).sum)
 
-(* JSON with fixed key order and %.17g floats (nan -> null), matching the
+(* JSON with fixed key order and Json's writers, matching the
    conventions of Result_codec so the attrib object slots into codec v6. *)
-
-let json_float x =
-  if Float.is_nan x || x = Float.infinity || x = Float.neg_infinity then "null"
-  else Printf.sprintf "%.17g" x
 
 let comp_json c =
   let n = Welford.count c.moments in
@@ -114,13 +110,13 @@ let comp_json c =
   else
     Printf.sprintf
       {|{"count":%d,"sum":%s,"mean":%s,"min":%s,"max":%s,"p50":%s,"p90":%s,"p99":%s}|}
-      n (json_float c.sum)
-      (json_float (Welford.mean c.moments))
-      (json_float (Welford.min c.moments))
-      (json_float (Welford.max c.moments))
-      (json_float (Tdigest.quantile c.digest 0.5))
-      (json_float (Tdigest.quantile c.digest 0.9))
-      (json_float (Tdigest.quantile c.digest 0.99))
+      n (Json.float c.sum)
+      (Json.float (Welford.mean c.moments))
+      (Json.float (Welford.min c.moments))
+      (Json.float (Welford.max c.moments))
+      (Json.float (Tdigest.quantile c.digest 0.5))
+      (Json.float (Tdigest.quantile c.digest 0.9))
+      (Json.float (Tdigest.quantile c.digest 0.99))
 
 let band_json b =
   let flows = Welford.count b.comps.(0).moments in

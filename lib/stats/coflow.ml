@@ -65,12 +65,8 @@ let merge a b =
     deadline_total = a.deadline_total + b.deadline_total;
   }
 
-(* JSON with fixed key order and %.17g floats (nan -> null), matching the
+(* JSON with fixed key order and Json's writers, matching the
    conventions of Result_codec so the coflow object slots into codec v8. *)
-
-let json_float x =
-  if Float.is_nan x || x = Float.infinity || x = Float.neg_infinity then "null"
-  else Printf.sprintf "%.17g" x
 
 let to_json t =
   let n = coflows t in
@@ -79,11 +75,11 @@ let to_json t =
     Printf.sprintf
       {|{"coflows":%d,"completed":%d,"censored":%d,"flows":%d,"cct_mean":%s,"cct_min":%s,"cct_max":%s,"cct_p50":%s,"cct_p90":%s,"cct_p99":%s,"deadline_met":%d,"deadline_total":%d,"deadline_met_frac":%s}|}
       n (completed t) t.censored t.flows
-      (json_float (Welford.mean t.cct))
-      (json_float (Welford.min t.cct))
-      (json_float (Welford.max t.cct))
-      (json_float (Tdigest.quantile t.digest 0.5))
-      (json_float (Tdigest.quantile t.digest 0.9))
-      (json_float (Tdigest.quantile t.digest 0.99))
+      (Json.float (Welford.mean t.cct))
+      (Json.float (Welford.min t.cct))
+      (Json.float (Welford.max t.cct))
+      (Json.float (Tdigest.quantile t.digest 0.5))
+      (Json.float (Tdigest.quantile t.digest 0.9))
+      (Json.float (Tdigest.quantile t.digest 0.99))
       t.deadline_met t.deadline_total
-      (json_float (deadline_met_frac t))
+      (Json.float (deadline_met_frac t))

@@ -92,9 +92,5 @@ let samples st =
   List.init n (fun i -> st.ring.((start + i) mod st.cap))
 
 let sample_json { t; metric; v } =
-  let num x =
-    if Float.is_nan x || x = Float.infinity || x = Float.neg_infinity then
-      "null"
-    else Printf.sprintf "%.17g" x
-  in
-  Printf.sprintf {|{"t":%s,"metric":"%s","v":%s}|} (num t) metric (num v)
+  Printf.sprintf {|{"t":%s,"metric":%s,"v":%s}|} (Json.float t)
+    (Json.string metric) (Json.float v)

@@ -53,7 +53,6 @@ let config_key (c : Config.t) =
       Printf.sprintf "ctrl-loss=%s" (fl c.Config.ctrl_loss_prob);
       Printf.sprintf "expiry=%d" c.Config.state_expiry_rounds;
       Printf.sprintf "qlim=%d" c.Config.queue_limit_pkts;
-      Printf.sprintf "mark=%d" c.Config.mark_threshold;
     ]
 
 let protocol_key = function

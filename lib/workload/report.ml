@@ -201,14 +201,10 @@ let of_files ~result ?attrib ?series ?vs ?top () =
 
 (* ---- rendering helpers -------------------------------------------------- *)
 
-let json_float f =
-  if Float.is_nan f || Float.abs f = Float.infinity then "null"
-  else Printf.sprintf "%.17g" f
-
 let json_of_result_field run key =
   match Json.member key run with
-  | Some (Json.Str s) -> Printf.sprintf "%S" s
-  | Some (Json.Num f) -> json_float f
+  | Some (Json.Str s) -> Json.string s
+  | Some (Json.Num f) -> Json.float f
   | Some (Json.Bool b) -> string_of_bool b
   | Some Json.Null | None -> "null"
   | Some (Json.Arr _ | Json.Obj _) -> "null"
@@ -280,13 +276,13 @@ let to_json t =
           let share = if fct_sum > 0. then total /. fct_sum else nan in
           Buffer.add_string buf
             (Printf.sprintf {|"%s":{"total":%s,"share":%s}|} c
-               (json_float total) (json_float share)))
+               (Json.float total) (Json.float share)))
         comp_sum;
       Buffer.add_string buf
         (Printf.sprintf
            {|},"check":{"afct":%s,"afct_from_components":%s,"max_flow_residual":%s}|}
            (json_of_result_field t.run "afct")
-           (json_float
+           (Json.float
               (if n = 0 then nan
                else
                  List.fold_left
@@ -295,21 +291,21 @@ let to_json t =
                      +. List.fold_left (fun s (_, v) -> s +. v) 0. f.comps)
                    0. flows
                  /. float_of_int n))
-           (json_float (max_flow_residual flows)));
+           (Json.float (max_flow_residual flows)));
       (match flow_at_percentile flows 99. with
       | None -> ()
       | Some f ->
           Buffer.add_string buf
             (Printf.sprintf
                {|,"p99_flow":{"flow":%d,"size_pkts":%d,"fct":%s,"timeouts":%d,"components":{|}
-               f.flow f.size_pkts (json_float f.fct) f.timeouts);
+               f.flow f.size_pkts (Json.float f.fct) f.timeouts);
           List.iteri
             (fun i (c, v) ->
               if i > 0 then Buffer.add_char buf ',';
               Buffer.add_string buf
                 (Printf.sprintf {|"%s":{"seconds":%s,"share":%s}|} c
-                   (json_float v)
-                   (json_float (if f.fct > 0. then v /. f.fct else nan))))
+                   (Json.float v)
+                   (Json.float (if f.fct > 0. then v /. f.fct else nan))))
             f.comps;
           Buffer.add_string buf "}}");
       Buffer.add_char buf '}');
@@ -323,21 +319,22 @@ let to_json t =
         (fun i l ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_string buf
-            (Printf.sprintf
-               {|{"link":"%s","mean_util":%s,"peak_util":%s}|} l.label
-               (json_float l.mean_util) (json_float l.peak_util)))
+            (Printf.sprintf {|{"link":%s,"mean_util":%s,"peak_util":%s}|}
+               (Json.string l.label) (Json.float l.mean_util)
+               (Json.float l.peak_util)))
         (top_links t);
       Buffer.add_string buf {|],"hot_queues":[|};
       List.iteri
         (fun i l ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_string buf
-            (Printf.sprintf {|{"link":"%s","peak_pkts":%s,"drops":%s}|}
-               l.label (json_float l.peak_pkts) (json_float l.drops)))
+            (Printf.sprintf {|{"link":%s,"peak_pkts":%s,"drops":%s}|}
+               (Json.string l.label) (Json.float l.peak_pkts)
+               (Json.float l.drops)))
         (top_queues t);
       Buffer.add_string buf
         (Printf.sprintf {|],"total_drops":%s}|}
-           (json_float
+           (Json.float
               (List.fold_left (fun acc l -> acc +. l.drops) 0. t.links))));
   (match coflow_obj t.run with
   | None -> ()
@@ -347,7 +344,7 @@ let to_json t =
         (fun i key ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_string buf
-            (Printf.sprintf {|"%s":%s|} key (json_float (coflow_num c key))))
+            (Printf.sprintf {|"%s":%s|} key (Json.float (coflow_num c key))))
         [
           "coflows"; "completed"; "censored"; "flows"; "cct_mean"; "cct_p50";
           "cct_p90"; "cct_p99"; "deadline_met"; "deadline_total";
@@ -368,8 +365,8 @@ let to_json t =
           let b = Option.value ~default:nan (vs_mean other c) in
           Buffer.add_string buf
             (Printf.sprintf {|"%s":{"mean":%s,"other_mean":%s,"delta":%s}|} c
-               (json_float a) (json_float b)
-               (json_float (a -. b))))
+               (Json.float a) (Json.float b)
+               (Json.float (a -. b))))
         components;
       Buffer.add_string buf "}}");
   Buffer.add_char buf '}';

@@ -24,68 +24,46 @@ let decode s =
 
 (* ---- JSON export ------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* JSON has no nan/inf; those become null. %.17g round-trips doubles. *)
-let json_float f =
-  if Float.is_nan f || Float.abs f = Float.infinity then "null"
-  else Printf.sprintf "%.17g" f
-
-let json_opt_float = function None -> "null" | Some f -> json_float f
 let json_opt_int = function None -> "null" | Some i -> string_of_int i
 
 let record_to_json (r : Fct.record) =
   Printf.sprintf
     {|{"flow":%d,"size_pkts":%d,"start":%s,"fct":%s,"deadline":%s,"censored":%b,"ideal":%s,"task":%s,"fluid":%b}|}
     r.Fct.flow r.Fct.size_pkts
-    (json_float r.Fct.start_time)
-    (json_float r.Fct.fct)
-    (json_opt_float r.Fct.deadline)
+    (Json.float r.Fct.start_time)
+    (Json.float r.Fct.fct)
+    (Json.opt_float r.Fct.deadline)
     r.Fct.censored
-    (json_opt_float r.Fct.ideal)
+    (Json.opt_float r.Fct.ideal)
     (json_opt_int r.Fct.task)
     r.Fct.fluid
 
 let attrib_record_to_json ~size_pkts (r : Delay.record) =
   Printf.sprintf
     {|{"flow":%d,"size_pkts":%d,"fct":%s,"serialization":%s,"propagation":%s,"queueing":%s,"arb_wait":%s,"rto_stall":%s,"timeouts":%d}|}
-    r.Delay.flow size_pkts (json_float r.Delay.fct)
-    (json_float r.Delay.serialization)
-    (json_float r.Delay.propagation)
-    (json_float r.Delay.queueing)
-    (json_float r.Delay.arb_wait)
-    (json_float r.Delay.rto_stall)
+    r.Delay.flow size_pkts (Json.float r.Delay.fct)
+    (Json.float r.Delay.serialization)
+    (Json.float r.Delay.propagation)
+    (Json.float r.Delay.queueing)
+    (Json.float r.Delay.arb_wait)
+    (Json.float r.Delay.rto_stall)
     r.Delay.timeouts
 
 let to_json ?(records = false) ?(extra = []) (r : Runner.result) =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Printf.sprintf
-       {|{"version":%d,"scenario":"%s","protocol":"%s","load":%s,"afct":%s,"p99":%s,"p999":%s,"app_throughput":%s,"loss_rate":%s,"ctrl_msgs":%d,"ctrl_msg_rate":%s,"duration":%s,"events":%d,"completed":%d,"censored":%d,"stray_pkts":%d,"peak_heap":%d|}
-       version (json_escape r.Runner.scenario)
-       (json_escape r.Runner.protocol)
-       (json_float r.Runner.load) (json_float r.Runner.afct)
-       (json_float r.Runner.p99)
-       (json_float r.Runner.p999)
-       (json_float r.Runner.app_throughput)
-       (json_float r.Runner.loss_rate)
+       {|{"version":%d,"scenario":%s,"protocol":%s,"load":%s,"afct":%s,"p99":%s,"p999":%s,"app_throughput":%s,"loss_rate":%s,"ctrl_msgs":%d,"ctrl_msg_rate":%s,"duration":%s,"events":%d,"completed":%d,"censored":%d,"stray_pkts":%d,"peak_heap":%d|}
+       version (Json.string r.Runner.scenario)
+       (Json.string r.Runner.protocol)
+       (Json.float r.Runner.load) (Json.float r.Runner.afct)
+       (Json.float r.Runner.p99)
+       (Json.float r.Runner.p999)
+       (Json.float r.Runner.app_throughput)
+       (Json.float r.Runner.loss_rate)
        r.Runner.ctrl_msgs
-       (json_float r.Runner.ctrl_msg_rate)
-       (json_float r.Runner.duration)
+       (Json.float r.Runner.ctrl_msg_rate)
+       (Json.float r.Runner.duration)
        r.Runner.events r.Runner.completed r.Runner.censored
        r.Runner.stray_pkts r.Runner.peak_heap);
   (* Fault-plane metrics: always emitted so the schema is stable; all-zero /
@@ -95,10 +73,10 @@ let to_json ?(records = false) ?(extra = []) (r : Runner.result) =
        {|,"blackholed_pkts":%d,"ctrl_lost":%d,"faults":{"injected":%d,"link_downtime_s":%s,"recovery_s":%s,"afct_baseline":%s,"afct_inflation":%s}|}
        r.Runner.blackholed_pkts r.Runner.ctrl_lost_msgs
        r.Runner.faults_injected
-       (json_float r.Runner.link_downtime_s)
-       (json_float r.Runner.recovery_s)
-       (json_float r.Runner.afct_baseline)
-       (json_float r.Runner.afct_inflation));
+       (Json.float r.Runner.link_downtime_s)
+       (Json.float r.Runner.recovery_s)
+       (Json.float r.Runner.afct_baseline)
+       (Json.float r.Runner.afct_inflation));
   (* Statistics mode: exact retains every record; streaming carries the
      sketch parameters and the p99 rank-error bound so downstream tooling
      can judge quantile accuracy without the raw sample. *)
@@ -108,8 +86,8 @@ let to_json ?(records = false) ?(extra = []) (r : Runner.result) =
       Buffer.add_string buf
         (Printf.sprintf
            {|,"stats":{"mode":"streaming","quantile_rank_error_p99":%s,"sketch":{"delta":%s,"centroids":%d,"reservoir_len":%d,"reservoir_seen":%d}}|}
-           (json_float (Fct.quantile_rank_error r.Runner.fct 99.))
-           (json_float sk.Fct.sk_delta)
+           (Json.float (Fct.quantile_rank_error r.Runner.fct 99.))
+           (Json.float sk.Fct.sk_delta)
            sk.Fct.sk_centroids sk.Fct.sk_reservoir_len
            sk.Fct.sk_reservoir_seen));
   (* Delay attribution aggregate (codec v6); absent unless run ~attrib. *)
@@ -128,8 +106,8 @@ let to_json ?(records = false) ?(extra = []) (r : Runner.result) =
            h.Runner.hybrid_on h.Runner.threshold_bytes h.Runner.fluid_flows
            h.Runner.fluid_demotions h.Runner.fault_demotions
            h.Runner.fluid_recomputes
-           (json_float h.Runner.fluid_bytes)
-           (json_float h.Runner.short_p99)));
+           (Json.float h.Runner.fluid_bytes)
+           (Json.float h.Runner.short_p99)));
   (* Coflow (task-group) CCT aggregate (codec v8); absent when no spec
      carried a task id. *)
   (match r.Runner.coflow with
@@ -145,7 +123,7 @@ let to_json ?(records = false) ?(extra = []) (r : Runner.result) =
         (fun i (label, n) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_string buf
-            (Printf.sprintf {|"%s":%d|} (json_escape label) n))
+            (Printf.sprintf {|%s:%d|} (Json.string label) n))
         sites;
       Buffer.add_char buf '}');
   (* GC deltas (profiling runs only; all-zero otherwise). Nondeterministic
@@ -158,13 +136,13 @@ let to_json ?(records = false) ?(extra = []) (r : Runner.result) =
     Buffer.add_string buf
       (Printf.sprintf
          {|,"gc":{"minor_words":%s,"promoted_words":%s,"major_collections":%d}|}
-         (json_float r.Runner.gc_minor_words)
-         (json_float r.Runner.gc_promoted_words)
+         (Json.float r.Runner.gc_minor_words)
+         (Json.float r.Runner.gc_promoted_words)
          r.Runner.gc_major_collections);
   List.iter
     (fun (key, value) ->
       Buffer.add_string buf
-        (Printf.sprintf {|,"%s":%s|} (json_escape key) value))
+        (Printf.sprintf {|,%s:%s|} (Json.string key) value))
     extra;
   if records then begin
     Buffer.add_string buf ",\"flows\":[";

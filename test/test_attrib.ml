@@ -324,6 +324,27 @@ let test_report_deterministic_and_checked () =
   Alcotest.(check bool) "series section present" true
     (Json.member "series" rep <> None)
 
+(* A scenario named after a UTF-8 CDF file survives the result and report
+   JSON: the writers escape quotes and control characters and pass UTF-8
+   bytes through, so the output is valid JSON that parses back to the
+   same name. *)
+let test_report_utf8_scenario () =
+  let name = "testbed+cdf:w\xc3\xa9b.cdf" in
+  let r =
+    Runner.run Runner.Dctcp
+      (Scenario.testbed ~num_flows:10 ~seed:1 ~load:0.5 ())
+  in
+  let parse s =
+    match Json.parse s with Ok v -> v | Error e -> Alcotest.fail e
+  in
+  let run = parse (Result_codec.to_json { r with Runner.scenario = name }) in
+  let rep = parse (Report.to_json (Report.build ~run ())) in
+  Alcotest.(check (option string)) "report round-trips the name" (Some name)
+    (Option.bind (Json.member "run" rep) (Json.string_member "scenario"));
+  let tricky = "a\"b\\c\nd\x01\xc3\xa9" in
+  Alcotest.(check (option string)) "string writer round-trips" (Some tricky)
+    (Json.to_string (parse (Json.string tricky)))
+
 let suite =
   [
     Alcotest.test_case "exact sum across protocols" `Slow
@@ -343,4 +364,6 @@ let suite =
     Alcotest.test_case "json parser" `Quick test_json_parser;
     Alcotest.test_case "report deterministic and checked" `Quick
       test_report_deterministic_and_checked;
+    Alcotest.test_case "report utf8 scenario" `Quick
+      test_report_utf8_scenario;
   ]
