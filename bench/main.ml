@@ -60,6 +60,10 @@ let loads =
         (String.split_on_char ',' v))
     [ 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9 ]
 
+(* PASE_JOBS is read and checked by [Parallel]; --jobs=N overrides it. *)
+let default_jobs =
+  try Parallel.default_jobs () with Invalid_argument e -> fail "%s" e
+
 let ms v = v *. 1e3
 let fmt_ms v = Printf.sprintf "%.3f" v
 let fmt_pct v = Printf.sprintf "%.1f" v
@@ -660,7 +664,8 @@ let () =
     Printf.printf "PASE reproduction benchmarks (flows/run = %d, seed = %d)\n"
       n_flows seed;
     let results =
-      Parallel.run_jobs ?jobs:!jobs
+      Parallel.run_jobs
+        ~jobs:(Option.value !jobs ~default:default_jobs)
         ~on_result:(fun _ ~cached ~wall r ->
           progress "%s / %s @ %.0f%%: afct %.3f ms (%s)" r.Runner.protocol
             r.Runner.scenario

@@ -224,6 +224,17 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
+(* --jobs, else PASE_JOBS, else the online cores; each checked for >= 1
+   before anything runs. *)
+let jobs_term =
+  let resolve = function
+    | Some n when n >= 1 -> Ok n
+    | Some n -> Error (Printf.sprintf "--jobs must be at least 1, got %d" n)
+    | None -> (
+        try Ok (Parallel.default_jobs ()) with Invalid_argument e -> Error e)
+  in
+  Term.(term_result' ~usage:false (const resolve $ jobs_arg))
+
 let no_cache_arg =
   let doc = "Do not read or write the on-disk result cache." in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
@@ -821,7 +832,7 @@ let compare_cmd =
       List.map (fun (_, proto) -> (proto, setup.scenario)) protocols
     in
     let results =
-      Parallel.run_jobs ?jobs ~cache_dir:(cache_dir ~no_cache)
+      Parallel.run_jobs ~jobs ~cache_dir:(cache_dir ~no_cache)
         ?hybrid:setup.hybrid pairs
     in
     (* Same scenario everywhere: either every result carries a coflow
@@ -863,7 +874,7 @@ let compare_cmd =
   Cmd.v
     (Cmd.info "compare"
        ~doc:"Run every protocol on one scenario (in parallel) and compare")
-    Term.(const action $ setup_term $ jobs_arg $ no_cache_arg)
+    Term.(const action $ setup_term $ jobs_term $ no_cache_arg)
 
 let report_cmd =
   let result_arg =

@@ -25,16 +25,11 @@ let () =
   Hierarchy.start hier;
   let state = Hashtbl.create 8 in
   let show () =
-    let now_ms = Engine.now engine *. 1e3 in
-    let entries =
-      Hashtbl.fold (fun id (q, r) acc -> (id, q, r) :: acc) state []
-      |> List.sort compare
-    in
-    Printf.printf "t=%6.2f ms |" now_ms;
-    List.iter
-      (fun (id, q, r) ->
+    Printf.printf "t=%6.2f ms |" (Engine.now engine *. 1e3);
+    Det_tbl.iter ~cmp:Int.compare
+      (fun id (q, r) ->
         Printf.printf " flow%d: queue %d, Rref %4.0f Mbps |" id q (r /. 1e6))
-      entries;
+      state;
     print_newline ()
   in
   (* Flows of decreasing size arriving 2 ms apart, all to host 4: each new,

@@ -6,8 +6,7 @@
 
    Bands follow the paper's workload taxonomy by flow size in segments:
    short < 10, medium < 100, long >= 100, plus an "all" band. The structure
-   is closure-free so it survives Marshal across the fork-parallel runner,
-   and [merge] is deterministic in operand order. *)
+   is closure-free so it survives Marshal across the fork-parallel runner. *)
 
 type comp_agg = { moments : Welford.t; digest : Tdigest.t; mutable sum : float }
 
@@ -71,26 +70,6 @@ let add t ~size_pkts (r : Delay.record) =
 let flows t =
   (* every record lands in band 0 ("all"); any component's count works *)
   Welford.count t.bands.(0).comps.(0).moments
-
-let merge a b =
-  {
-    bands =
-      Array.map2
-        (fun ba bb ->
-          {
-            ba with
-            comps =
-              Array.map2
-                (fun ca cb ->
-                  {
-                    moments = Welford.merge ca.moments cb.moments;
-                    digest = Tdigest.merge ca.digest cb.digest;
-                    sum = ca.sum +. cb.sum;
-                  })
-                ba.comps bb.comps;
-          })
-        a.bands b.bands;
-  }
 
 let component_sum t ~band ~component =
   let bi = Array.to_list t.bands in

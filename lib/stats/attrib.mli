@@ -7,8 +7,8 @@
     [serialization], [propagation], [queueing], [arb_wait], [rto_stall],
     plus the whole [fct] aggregated alongside for reconciliation.
 
-    Closure-free (Marshal-safe across the fork runner); {!merge} is
-    deterministic in operand order. *)
+    Closure-free, so it survives [Result_codec]'s Marshal round-trip
+    across the fork runner. *)
 
 type t
 
@@ -17,9 +17,6 @@ val add : t -> size_pkts:int -> Delay.record -> unit
 
 val flows : t -> int
 (** Number of records added. *)
-
-val merge : t -> t -> t
-(** Fresh aggregate equivalent to feeding both inputs' streams. *)
 
 val component_sum : t -> band:string -> component:string -> float
 (** Running sum of one component over one band; [nan] for unknown names. *)

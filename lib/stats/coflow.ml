@@ -6,9 +6,9 @@
 
    Moments and extremes come from a Welford accumulator, quantiles from a
    t-digest over per-group CCTs. Like Attrib, the structure is closure-free
-   so it survives Marshal across the fork-parallel runner, and [merge] is
-   deterministic in operand order (the runner finalises groups in sorted
-   task-id order, so t-digest insertion order is byte-stable too). *)
+   so it survives Marshal across the fork-parallel runner. Fct.coflow
+   observes groups in sorted task-id order, so t-digest insertion order is
+   byte-stable too. *)
 
 type t = {
   cct : Welford.t;  (* over completed (non-censored) groups *)
@@ -54,16 +54,6 @@ let deadline_total t = t.deadline_total
 let deadline_met_frac t =
   if t.deadline_total = 0 then nan
   else float_of_int t.deadline_met /. float_of_int t.deadline_total
-
-let merge a b =
-  {
-    cct = Welford.merge a.cct b.cct;
-    digest = Tdigest.merge a.digest b.digest;
-    flows = a.flows + b.flows;
-    censored = a.censored + b.censored;
-    deadline_met = a.deadline_met + b.deadline_met;
-    deadline_total = a.deadline_total + b.deadline_total;
-  }
 
 (* JSON with fixed key order and Json's writers, matching the
    conventions of Result_codec so the coflow object slots into codec v8. *)

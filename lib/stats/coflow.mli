@@ -6,10 +6,9 @@
 
     Bounded memory: a Welford accumulator for moments/extremes and a
     t-digest for CCT quantiles. Closure-free (Marshal/fork-safe) like
-    {!Attrib}; [merge] is deterministic in operand order. The runner
-    finalises groups in sorted task-id order, so t-digest insertion order —
-    and therefore every quantile — is byte-stable across runs and
-    processes. *)
+    {!Attrib}. {!Fct.coflow} builds one from its task-group table in sorted
+    task-id order, so t-digest insertion order — and therefore every
+    quantile — is byte-stable across runs and processes. *)
 
 type t
 
@@ -25,7 +24,6 @@ val observe :
 val coflows : t -> int
 (** total groups observed (completed + censored) *)
 
-val completed : t -> int
 val censored : t -> int
 
 val flows : t -> int
@@ -38,8 +36,6 @@ val deadline_total : t -> int
 
 val deadline_met_frac : t -> float
 (** [nan] when no group carried a deadline *)
-
-val merge : t -> t -> t
 
 (** Fixed key order, [%.17g] floats (nan/inf → [null]); collapses to
     [{"coflows":0}] when nothing was observed. *)

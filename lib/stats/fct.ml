@@ -16,9 +16,9 @@ type record = {
 (* Streaming aggregates: constant memory in the flow count. Completed
    (non-censored) FCTs and slowdowns each get an exact Welford accumulator
    plus a t-digest for quantiles; a seeded reservoir of whole records is
-   the exact-sample fallback; deadline and task aggregates are maintained
-   incrementally (both are exact). No closures anywhere: the whole value
-   must survive Result_codec's Marshal round-trip. *)
+   the exact-sample fallback; deadline aggregates are maintained
+   incrementally (exact). No closures anywhere: the whole value must
+   survive Result_codec's Marshal round-trip. *)
 type stream = {
   fcts : Welford.t;
   fct_sketch : Tdigest.t;
@@ -27,14 +27,30 @@ type stream = {
   sample : record Reservoir.t;
   mutable deadline_met : int;
   mutable deadline_total : int;
-  (* task id -> (first member start, last member end, any member censored) *)
-  tasks : (int, float * float * bool) Hashtbl.t;
+}
+
+(* One task group (incast query or coflow job), built up as its member
+   records arrive. Both modes keep the table: memory is bounded by the task
+   count, not the flow count. *)
+type group = {
+  mutable first_start : float;
+  mutable last_end : float;
+  mutable members : int;
+  mutable any_censored : bool;
+  mutable min_deadline : float option;
 }
 
 type store = Exact of { mutable records : record list } | Stream of stream
-type t = { store : store; mutable n : int; mutable censored_n : int }
 
-let create () = { store = Exact { records = [] }; n = 0; censored_n = 0 }
+type t = {
+  store : store;
+  tasks : (int, group) Hashtbl.t;
+  mutable n : int;
+  mutable censored_n : int;
+}
+
+let make store = { store; tasks = Hashtbl.create 16; n = 0; censored_n = 0 }
+let create () = make (Exact { records = [] })
 
 let default_reservoir = 2048
 let default_delta = 200.
@@ -42,24 +58,17 @@ let default_seed = 0x7a5e
 
 let create_streaming ?(reservoir = default_reservoir) ?(delta = default_delta)
     ?(seed = default_seed) () =
-  {
-    store =
-      Stream
-        {
-          fcts = Welford.create ();
-          fct_sketch = Tdigest.create ~delta ();
-          slow = Welford.create ();
-          slow_sketch = Tdigest.create ~delta ();
-          sample = Reservoir.create ~k:reservoir ~seed;
-          deadline_met = 0;
-          deadline_total = 0;
-          tasks = Hashtbl.create 16;
-        };
-    n = 0;
-    censored_n = 0;
-  }
-
-let mode t = match t.store with Exact _ -> `Exact | Stream _ -> `Streaming
+  make
+    (Stream
+       {
+         fcts = Welford.create ();
+         fct_sketch = Tdigest.create ~delta ();
+         slow = Welford.create ();
+         slow_sketch = Tdigest.create ~delta ();
+         sample = Reservoir.create ~k:reservoir ~seed;
+         deadline_met = 0;
+         deadline_total = 0;
+       })
 
 let stream_observe s r =
   Reservoir.add s.sample r;
@@ -76,23 +85,40 @@ let stream_observe s r =
         Welford.add s.slow (r.fct /. ideal);
         Tdigest.add s.slow_sketch (r.fct /. ideal)
     | _ -> ()
-  end;
-  match r.task with
-  | None -> ()
-  | Some task ->
-      let first_start, last_end, censored =
-        try Hashtbl.find s.tasks task
-        with Not_found -> (infinity, neg_infinity, false)
-      in
-      Hashtbl.replace s.tasks task
-        ( Float.min first_start r.start_time,
-          Float.max last_end (r.start_time +. r.fct),
-          censored || r.censored )
+  end
+
+let group_observe tasks task r =
+  let g =
+    match Hashtbl.find_opt tasks task with
+    | Some g -> g
+    | None ->
+        let g =
+          {
+            first_start = infinity;
+            last_end = neg_infinity;
+            members = 0;
+            any_censored = false;
+            min_deadline = None;
+          }
+        in
+        Hashtbl.replace tasks task g;
+        g
+  in
+  g.members <- g.members + 1;
+  if r.start_time < g.first_start then g.first_start <- r.start_time;
+  let finish = r.start_time +. r.fct in
+  if finish > g.last_end then g.last_end <- finish;
+  if r.censored then g.any_censored <- true;
+  match (r.deadline, g.min_deadline) with
+  | Some d, Some d0 -> g.min_deadline <- Some (Float.min d0 d)
+  | Some d, None -> g.min_deadline <- Some d
+  | None, _ -> ()
 
 let add_record t r =
   (match t.store with
   | Exact e -> e.records <- r :: e.records
   | Stream s -> stream_observe s r);
+  (match r.task with Some task -> group_observe t.tasks task r | None -> ());
   t.n <- t.n + 1;
   if r.censored then t.censored_n <- t.censored_n + 1
 
@@ -225,33 +251,27 @@ let p99_slowdown t =
       if Tdigest.count s.slow_sketch = 0 then nan
       else Tdigest.quantile s.slow_sketch 0.99
 
-let task_times_of_tbl groups =
-  Det_tbl.fold
-    (fun _ (first_start, last_end, censored) acc ->
-      if censored then acc else (last_end -. first_start) :: acc)
-    groups []
-
 let task_completion_times t =
-  match t.store with
-  | Exact e ->
-      let groups = Hashtbl.create 16 in
-      List.iter
-        (fun r ->
-          match r.task with
-          | None -> ()
-          | Some task ->
-              let prev =
-                try Hashtbl.find groups task
-                with Not_found -> (infinity, neg_infinity, false)
-              in
-              let first_start, last_end, censored = prev in
-              Hashtbl.replace groups task
-                ( Float.min first_start r.start_time,
-                  Float.max last_end (r.start_time +. r.fct),
-                  censored || r.censored ))
-        e.records;
-      task_times_of_tbl groups
-  | Stream s -> task_times_of_tbl s.tasks
+  Det_tbl.fold
+    (fun _ g acc ->
+      if g.any_censored then acc else (g.last_end -. g.first_start) :: acc)
+    t.tasks []
+
+(* All-workers-finish: CCT spans the group's first start to its last
+   member's finish. Sorted task order makes t-digest insertion, and so
+   every published quantile, byte-stable across runs and processes. *)
+let coflow t =
+  if Hashtbl.length t.tasks = 0 then None
+  else begin
+    let agg = Coflow.create () in
+    Det_tbl.iter
+      (fun _ g ->
+        Coflow.observe agg
+          ~cct:(Float.max 0. (g.last_end -. g.first_start))
+          ~width:g.members ~censored:g.any_censored ~deadline:g.min_deadline)
+      t.tasks;
+    Some agg
+  end
 
 type sketch_info = {
   sk_delta : float;
@@ -271,43 +291,3 @@ let sketch_info t =
           sk_reservoir_len = List.length (Reservoir.sample s.sample);
           sk_reservoir_seen = Reservoir.seen s.sample;
         }
-
-let merge a b =
-  match (a.store, b.store) with
-  | Exact ea, Exact eb ->
-      (* Internal lists are newest-first; concatenating b-then-a yields
-         a's records followed by b's once [records] reverses. *)
-      {
-        store = Exact { records = eb.records @ ea.records };
-        n = a.n + b.n;
-        censored_n = a.censored_n + b.censored_n;
-      }
-  | Stream sa, Stream sb ->
-      let tasks = Hashtbl.copy sa.tasks in
-      Det_tbl.iter
-        (fun task (fs, le, c) ->
-          let fs', le', c' =
-            try Hashtbl.find tasks task
-            with Not_found -> (infinity, neg_infinity, false)
-          in
-          Hashtbl.replace tasks task
-            (Float.min fs fs', Float.max le le', c || c'))
-        sb.tasks;
-      {
-        store =
-          Stream
-            {
-              fcts = Welford.merge sa.fcts sb.fcts;
-              fct_sketch = Tdigest.merge sa.fct_sketch sb.fct_sketch;
-              slow = Welford.merge sa.slow sb.slow;
-              slow_sketch = Tdigest.merge sa.slow_sketch sb.slow_sketch;
-              sample = Reservoir.merge sa.sample sb.sample;
-              deadline_met = sa.deadline_met + sb.deadline_met;
-              deadline_total = sa.deadline_total + sb.deadline_total;
-              tasks;
-            };
-        n = a.n + b.n;
-        censored_n = a.censored_n + b.censored_n;
-      }
-  | Exact _, Stream _ | Stream _, Exact _ ->
-      invalid_arg "Fct.merge: cannot merge exact and streaming collections"

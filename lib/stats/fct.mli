@@ -8,9 +8,14 @@
     - {b streaming} ({!create_streaming}): constant memory in the flow
       count. Means/variances are exact ({!Welford}), quantiles come from a
       {!Tdigest} with the documented rank-error bound
-      ({!quantile_rank_error}), deadline and task aggregates are exact, and
-      a seeded {!Reservoir} of whole records is retained as the
-      exact-sample fallback ({!records} returns it).
+      ({!quantile_rank_error}), deadline aggregates are exact, and a
+      seeded {!Reservoir} of whole records is retained as the exact-sample
+      fallback ({!records} returns it).
+
+    Both modes also keep one task-group table (first member start, last
+    member finish, member count, any member censored, min member deadline
+    per task id), the single source of {!task_completion_times} and
+    {!coflow}; its memory is bounded by the task count.
 
     Both modes are deterministic and free of closures, so a collection
     survives [Result_codec]'s serialisation in either mode. *)
@@ -41,8 +46,6 @@ val create : unit -> t
     [seed] the reservoir seed. *)
 val create_streaming :
   ?reservoir:int -> ?delta:float -> ?seed:int -> unit -> t
-
-val mode : t -> [ `Exact | `Streaming ]
 
 val add :
   t ->
@@ -125,10 +128,15 @@ val mean_slowdown : t -> float
 val p99_slowdown : t -> float
 
 (** Completion time of each task (last member finish minus first member
-    start), over tasks with no censored member. Exact in both modes
-    (streaming maintains per-task aggregates incrementally; memory is
-    bounded by the task count, not the flow count). *)
+    start), over tasks with no censored member, in descending task-id
+    order. Exact in both modes. *)
 val task_completion_times : t -> float list
+
+(** The task groups folded into a {!Coflow} aggregate in ascending task-id
+    order (all-workers-finish: CCT = last member finish − first member
+    start, clamped at 0; the group deadline is the min over its members);
+    [None] when no record carried a task id. Exact in both modes. *)
+val coflow : t -> Coflow.t option
 
 (** Sketch parameters of a streaming collection, for result export. *)
 type sketch_info = {
@@ -141,8 +149,3 @@ type sketch_info = {
 (** [None] in exact mode. *)
 val sketch_info : t -> sketch_info option
 
-(** [merge a b]: a fresh collection equivalent to [a]'s stream followed by
-    [b]'s. Deterministic in operand order; the sweep aggregator uses it to
-    combine per-job collections. Raises [Invalid_argument] when one side is
-    exact and the other streaming, or on sketch-parameter mismatch. *)
-val merge : t -> t -> t

@@ -1,6 +1,5 @@
 type 'a t = {
   k : int;
-  seed : int;
   rng : Rng.t;
   mutable items : 'a array;
   mutable len : int;
@@ -9,7 +8,7 @@ type 'a t = {
 
 let create ~k ~seed =
   if k <= 0 then invalid_arg "Reservoir.create: capacity must be positive";
-  { k; seed; rng = Rng.create seed; items = [||]; len = 0; seen = 0 }
+  { k; rng = Rng.create seed; items = [||]; len = 0; seen = 0 }
 
 let add t x =
   t.seen <- t.seen + 1;
@@ -26,54 +25,10 @@ let add t x =
   else begin
     (* Algorithm R: element [seen] replaces a random slot with prob k/seen.
        One draw per overflow element keeps the stream position / RNG state
-       correspondence exact, hence deterministic merges of reruns. *)
+       correspondence exact, so a rerun retains the same sample. *)
     let j = Rng.int t.rng t.seen in
     if j < t.k then t.items.(j) <- x
   end
 
 let sample t = Array.to_list (Array.sub t.items 0 t.len)
 let seen t = t.seen
-let capacity t = t.k
-
-let merge a b =
-  if a.k <> b.k then invalid_arg "Reservoir.merge: capacity mismatch";
-  let seed = a.seed lxor (b.seed * 0x9E3779B9) lxor 0x5DEECE66 in
-  let t = create ~k:a.k ~seed in
-  let rng = Rng.create seed in
-  let total = a.seen + b.seen in
-  let ia = ref 0 and ib = ref 0 in
-  (* Fill slots by a population-weighted coin per slot, falling back to
-     whichever side still has elements. Approximately uniform; exactly
-     deterministic. *)
-  while t.len < t.k && (!ia < a.len || !ib < b.len) do
-    let from_a =
-      if !ia >= a.len then false
-      else if !ib >= b.len then true
-      else if total = 0 then true
-      else Rng.int rng total < a.seen
-    in
-    let x =
-      if from_a then begin
-        let x = a.items.(!ia) in
-        incr ia;
-        x
-      end
-      else begin
-        let x = b.items.(!ib) in
-        incr ib;
-        x
-      end
-    in
-    t.items <-
-      (if t.len = Array.length t.items then begin
-         let cap = Stdlib.min t.k (Stdlib.max 8 (2 * t.len)) in
-         let items = Array.make cap x in
-         Array.blit t.items 0 items 0 t.len;
-         items
-       end
-       else t.items);
-    t.items.(t.len) <- x;
-    t.len <- t.len + 1
-  done;
-  t.seen <- total;
-  t

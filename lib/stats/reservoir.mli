@@ -19,14 +19,3 @@ val sample : 'a t -> 'a list
 
 (** Number of elements offered so far. *)
 val seen : 'a t -> int
-
-(** Reservoir capacity [k]. *)
-val capacity : 'a t -> int
-
-(** [merge a b] draws a fresh [k]-reservoir from the two retained samples,
-    weighting each side by its [seen] count. Deterministic in operand
-    order (the merge RNG is derived from both seeds); the operands are not
-    mutated. The result is an approximately uniform subsample of the
-    union — exact enough for its diagnostic fallback role, and documented
-    as such. Requires equal capacities. *)
-val merge : 'a t -> 'a t -> 'a t

@@ -83,7 +83,6 @@ let add st ~t ~metric ~v =
   st.seen <- st.seen + 1
 
 let seen st = st.seen
-let capacity st = st.cap
 let dropped st = max 0 (st.seen - st.cap)
 
 let samples st =

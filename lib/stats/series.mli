@@ -43,8 +43,6 @@ val seen : store -> int
 val dropped : store -> int
 (** Samples evicted from the in-memory window: [max 0 (seen - capacity)]. *)
 
-val capacity : store -> int
-
 val sample_json : sample -> string
 (** One JSONL line: [{"t":..,"metric":"..","v":..}], floats as [%.17g],
     nan/inf as [null]. *)

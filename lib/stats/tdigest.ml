@@ -26,8 +26,6 @@ let create ?(delta = 200.) () =
 
 let count t = int_of_float t.total + t.buf_n
 let delta t = t.delta
-let min t = if count t = 0 then nan else t.lo
-let max t = if count t = 0 then nan else t.hi
 
 let pi = 4. *. atan 1.
 
@@ -174,29 +172,3 @@ let rank_error t q =
     Float.max
       (1. /. float_of_int n)
       (4. *. pi *. sqrt (q *. (1. -. q)) /. t.delta)
-
-let merge a b =
-  if a.delta <> b.delta then invalid_arg "Tdigest.merge: delta mismatch";
-  let a = flushed a and b = flushed b in
-  let t = create ~delta:a.delta () in
-  if a.n + b.n > 0 then begin
-    t.lo <- Float.min a.lo b.lo;
-    t.hi <- Float.max a.hi b.hi;
-    compress_into t ~total:(a.total +. b.total) ~cap:(a.n + b.n)
-      (fun push ->
-        let i = ref 0 and j = ref 0 in
-        while !i < a.n || !j < b.n do
-          if
-            !j >= b.n
-            || (!i < a.n && Float.compare a.means.(!i) b.means.(!j) <= 0)
-          then begin
-            push a.means.(!i) a.weights.(!i);
-            incr i
-          end
-          else begin
-            push b.means.(!j) b.weights.(!j);
-            incr j
-          end
-        done)
-  end;
-  t

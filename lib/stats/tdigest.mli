@@ -18,10 +18,9 @@
 
     {b Determinism.} All state transitions are pure float arithmetic over
     arrays ordered by [Float.compare]; the same insertion sequence yields
-    bit-identical digests, and {!merge} is deterministic in operand order.
-    Only {!add} changes a digest: queries leave it as it was, so its
-    Marshal bytes depend only on the values added. There is no randomness
-    anywhere in the structure. *)
+    bit-identical digests. Only {!add} changes a digest: queries leave it
+    as it was, so its Marshal bytes depend only on the values added. There
+    is no randomness anywhere in the structure. *)
 
 type t
 
@@ -47,16 +46,6 @@ val quantile : t -> float -> float
 (** [rank_error t q] is the documented bound on the rank error of
     [quantile t q] (see above); [nan] when empty. *)
 val rank_error : t -> float -> float
-
-(** Exact smallest / largest value added; [nan] when empty. *)
-val min : t -> float
-
-val max : t -> float
-
-(** [merge a b] is a fresh digest summarising both inputs' streams.
-    Requires equal [delta] ([Invalid_argument] otherwise). Deterministic in
-    operand order; the operands are not modified. *)
-val merge : t -> t -> t
 
 (** Current centroids as [(mean, weight)] in nondecreasing mean order,
     as if any buffered values were compressed (the digest itself is not

@@ -22,20 +22,3 @@ let mean t = if t.n = 0 then nan else t.mean
 let variance t = if t.n = 0 then nan else t.m2 /. float_of_int t.n
 let min t = if t.n = 0 then nan else t.lo
 let max t = if t.n = 0 then nan else t.hi
-
-(* Chan, Golub & LeVeque's pairwise update: exact in n, stable in m2. *)
-let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
-  else begin
-    let na = float_of_int a.n and nb = float_of_int b.n in
-    let n = na +. nb in
-    let delta = b.mean -. a.mean in
-    {
-      n = a.n + b.n;
-      mean = a.mean +. (delta *. nb /. n);
-      m2 = a.m2 +. b.m2 +. (delta *. delta *. na *. nb /. n);
-      lo = Float.min a.lo b.lo;
-      hi = Float.max a.hi b.hi;
-    }
-  end

@@ -2,9 +2,7 @@
 
     Constant memory in the sample count, numerically stable, and
     deterministic: feeding the same values in the same order always yields
-    bit-identical state, and {!merge} is a pure function of its operands
-    (Chan et al.'s parallel combination), so chunked accumulation is
-    reproducible as long as the chunk order is fixed. *)
+    bit-identical state. *)
 
 type t
 
@@ -27,8 +25,3 @@ val min : t -> float
 
 (** Largest value seen; [nan] when empty. *)
 val max : t -> float
-
-(** [merge a b] is a fresh accumulator equivalent to feeding [a]'s stream
-    then [b]'s. Deterministic in operand order; neither operand is
-    mutated. *)
-val merge : t -> t -> t

@@ -7,11 +7,13 @@ let rec restart_on_eintr f =
 
 let default_jobs () =
   match Sys.getenv_opt "PASE_JOBS" with
+  | None | Some "" -> Domain.recommended_domain_count ()
   | Some v -> (
       match int_of_string_opt (String.trim v) with
       | Some n when n >= 1 -> n
-      | Some _ | None -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+      | Some _ | None ->
+          invalid_arg
+            (Printf.sprintf "PASE_JOBS must be an integer >= 1, got %S" v))
 
 let default_cache_dir () =
   match Sys.getenv_opt "PASE_CACHE_DIR" with
@@ -293,7 +295,10 @@ let run_pool ~jobs ~simulate pending ~on_done =
 let run_jobs ?jobs ?cache_dir ?(profile = false) ?hybrid
     ?(on_result = fun _ ~cached:_ ~wall:_ _ -> ()) pairs =
   let jobs =
-    match jobs with Some j -> max 1 j | None -> max 1 (default_jobs ())
+    match jobs with
+    | Some j when j < 1 -> invalid_arg "Parallel.run_jobs: jobs must be >= 1"
+    | Some j -> j
+    | None -> default_jobs ()
   in
   let cache_dir =
     match cache_dir with Some c -> c | None -> default_cache_dir ()

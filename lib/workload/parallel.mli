@@ -11,8 +11,10 @@
 (** One simulation: a protocol on a scenario. *)
 type job = Runner.protocol * Scenario.t
 
-(** Worker-pool width: the [PASE_JOBS] environment variable if it parses to
-    a positive integer, otherwise the number of online cores. *)
+(** Worker-pool width: the [PASE_JOBS] environment variable if it is set
+    and non-empty, otherwise the number of online cores. Raises
+    [Invalid_argument] naming the variable when [PASE_JOBS] is not an
+    integer >= 1. *)
 val default_jobs : unit -> int
 
 (** Cache directory: [PASE_CACHE_DIR] if set ([""], ["0"] and ["none"]
@@ -33,7 +35,7 @@ val job_key :
     order.
 
     - [jobs]: worker-pool width (default {!default_jobs}; [1] runs serially
-      in-process).
+      in-process; [Invalid_argument] below [1]).
     - [cache_dir]: on-disk cache location; [None] disables the cache
       (default {!default_cache_dir}).
     - [profile]: forwarded to {!Runner.run}; profiled results cache under a

@@ -82,17 +82,6 @@ type result = {
   gc_major_collections : int;
 }
 
-(* Running state of one task group (incast query or coflow job) while its
-   member records stream in; folded into the Coflow aggregate at the end of
-   the run, in sorted task-id order. *)
-type group = {
-  mutable first_start : float;
-  mutable last_end : float;
-  mutable members : int;
-  mutable any_censored : bool;
-  mutable group_deadline : float option;  (* min over member deadlines *)
-}
-
 let mss = 1460
 
 (* ECN marking threshold K, scaled with link speed as in the DCTCP
@@ -258,48 +247,10 @@ let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
     | `Exact -> Fct.create ()
     | `Streaming -> Fct.create_streaming ~seed:scenario.Scenario.seed ()
   in
-  (* Task groups (incast queries, coflow jobs) under construction: keyed by
-     task id, folded into the Coflow aggregate after the run. *)
-  let coflow_groups : (int, group) Hashtbl.t = Hashtbl.create 64 in
-  let coflow_track (r : Fct.record) =
-    match r.Fct.task with
-    | None -> ()
-    | Some tid ->
-        let g =
-          match Hashtbl.find_opt coflow_groups tid with
-          | Some g -> g
-          | None ->
-              let g =
-                {
-                  first_start = infinity;
-                  last_end = neg_infinity;
-                  members = 0;
-                  any_censored = false;
-                  group_deadline = None;
-                }
-              in
-              Hashtbl.replace coflow_groups tid g;
-              g
-        in
-        g.members <- g.members + 1;
-        if r.Fct.start_time < g.first_start then g.first_start <- r.Fct.start_time;
-        let finish = r.Fct.start_time +. r.Fct.fct in
-        if finish > g.last_end then g.last_end <- finish;
-        if r.Fct.censored then g.any_censored <- true;
-        (match r.Fct.deadline with
-        | Some d ->
-            g.group_deadline <-
-              Some
-                (match g.group_deadline with
-                | None -> d
-                | Some d0 -> Float.min d0 d)
-        | None -> ())
-  in
   (* Every record goes through here: aggregate, then spill to the caller's
      sink (the CLI's JSONL stream) if one is attached. *)
   let record r =
     Fct.add_record fct r;
-    coflow_track r;
     match on_record with Some f -> f r | None -> ()
   in
   (* Each protocol wired once: its arbitration hierarchy (PASE only), the
@@ -620,23 +571,6 @@ let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
         match Hierarchy.recovery_s h with Some s -> s | None -> nan)
     | None -> nan
   in
-  (* All-workers-finish: CCT spans the group's first start to its last
-     member's finish. Sorted task order makes t-digest insertion — and so
-     every published quantile — byte-stable across runs and processes. *)
-  let coflow_agg =
-    if Hashtbl.length coflow_groups = 0 then None
-    else begin
-      let agg = Coflow.create () in
-      Det_tbl.iter
-        (fun _tid g ->
-          Coflow.observe agg
-            ~cct:(Float.max 0. (g.last_end -. g.first_start))
-            ~width:g.members ~censored:g.any_censored
-            ~deadline:g.group_deadline)
-        coflow_groups;
-      Some agg
-    end
-  in
   let hybrid_stats =
     match hybrid with
     | None -> None
@@ -698,7 +632,7 @@ let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
     afct_inflation = afct /. afct_baseline;
     attrib = attrib_agg;
     hybrid = hybrid_stats;
-    coflow = coflow_agg;
+    coflow = Fct.coflow fct;
     peak_heap = prof.Engine.peak_heap;
     sched_profile = prof.Engine.sites;
     gc_minor_words = prof.Engine.minor_words;

@@ -89,9 +89,9 @@ type result = {
           semantics: one group per task id (incast queries and
           {!Scenario.with_coflows} jobs), CCT = last member finish − first
           member start, group deadline = min over member deadlines. [None]
-          when no spec carries a task id. Groups are finalised in sorted
-          task-id order, so the aggregate is byte-stable across runs and
-          processes. *)
+          when no spec carries a task id. Built by {!Fct.coflow} from the
+          collection's task-group table in sorted task-id order, so the
+          aggregate is byte-stable across runs and processes. *)
   peak_heap : int;  (** peak engine event-heap depth over the run *)
   sched_profile : (string * int) list;
       (** executions per schedule-site label (see {!Engine.profile});

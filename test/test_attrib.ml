@@ -159,38 +159,6 @@ let test_observation_never_changes_results () =
           faults );
     ]
 
-(* Merging two half-aggregates reproduces the single-pass one up to float
-   summation order (Welford's merge reassociates, so byte identity is not
-   promised — component totals and counts are). *)
-let test_aggregate_merge () =
-  let recs = ref [] in
-  let _ =
-    Runner.run ~attrib:true
-      ~on_attrib:(fun ~size_pkts rec_ -> recs := (size_pkts, rec_) :: !recs)
-      Runner.Dctcp
-      (Scenario.intra_rack_medium ~num_flows:40 ~seed:3 ~load:0.5 ())
-  in
-  let recs = List.rev !recs in
-  let one = Attrib.create () in
-  List.iter (fun (size_pkts, r) -> Attrib.add one ~size_pkts r) recs;
-  let n = List.length recs / 2 in
-  let a = Attrib.create () and b = Attrib.create () in
-  List.iteri
-    (fun i (size_pkts, r) ->
-      Attrib.add (if i < n then a else b) ~size_pkts r)
-    recs;
-  let merged = Attrib.merge a b in
-  Alcotest.(check int) "flow count" (Attrib.flows one) (Attrib.flows merged);
-  Array.iter
-    (fun comp ->
-      let x = Attrib.component_sum one ~band:"all" ~component:comp in
-      let y = Attrib.component_sum merged ~band:"all" ~component:comp in
-      Alcotest.(check bool)
-        (comp ^ " total agrees")
-        true
-        (Float.abs (x -. y) <= 1e-12 *. Float.max 1. (Float.abs x)))
-    Attrib.components
-
 (* ---- fabric sampler ----------------------------------------------------- *)
 
 let sampled ?(capacity = 1 lsl 16) () =
@@ -355,7 +323,6 @@ let suite =
     Alcotest.test_case "off by default" `Quick test_off_by_default;
     Alcotest.test_case "observation never changes results" `Slow
       test_observation_never_changes_results;
-    Alcotest.test_case "aggregate merge" `Quick test_aggregate_merge;
     Alcotest.test_case "sampler deterministic" `Quick
       test_sampler_deterministic;
     Alcotest.test_case "sampler bounded store" `Quick

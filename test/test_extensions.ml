@@ -116,16 +116,32 @@ let test_expiry_cleans_dead_flows () =
 
 let test_task_completion_times () =
   let f = Fct.create () in
-  (* Task 1: two flows, spans 0..5ms. Task 2: censored member: excluded. *)
-  Fct.add f ~flow:1 ~size_pkts:10 ~start_time:0. ~fct:0.002 ~task:1 ();
-  Fct.add f ~flow:2 ~size_pkts:10 ~start_time:0.001 ~fct:0.004 ~task:1 ();
+  (* Task 1: two flows, spans 0..5ms, member deadlines 6ms and 4ms. Task 2:
+     censored member: excluded from the times, counted in the coflow. *)
+  Fct.add f ~flow:1 ~size_pkts:10 ~start_time:0. ~fct:0.002 ~deadline:0.006
+    ~task:1 ();
+  Fct.add f ~flow:2 ~size_pkts:10 ~start_time:0.001 ~fct:0.004
+    ~deadline:0.004 ~task:1 ();
   Fct.add f ~flow:3 ~size_pkts:10 ~start_time:0. ~fct:0.001 ~task:2 ();
   Fct.add f ~flow:4 ~size_pkts:10 ~start_time:0. ~fct:0.050 ~task:2 ~censored:true ();
   Fct.add f ~flow:5 ~size_pkts:10 ~start_time:0. ~fct:0.003 ();
   (* no task *)
   (match Fct.task_completion_times f with
   | [ t ] -> Alcotest.(check (float 1e-9)) "task 1 makespan" 0.005 t
-  | l -> Alcotest.fail (Printf.sprintf "expected 1 task, got %d" (List.length l)))
+  | l -> Alcotest.fail (Printf.sprintf "expected 1 task, got %d" (List.length l)));
+  match Fct.coflow f with
+  | None -> Alcotest.fail "tasks but no coflow aggregate"
+  | Some c ->
+      Alcotest.(check int) "groups" 2 (Coflow.coflows c);
+      Alcotest.(check int) "censored groups" 1 (Coflow.censored c);
+      Alcotest.(check int) "member flows (width)" 4 (Coflow.flows c);
+      Alcotest.(check (float 1e-9)) "CCT of task 1" 0.005 (Coflow.cct_mean c);
+      (* the group deadline is the min member deadline (4ms): missed; the
+         max (6ms) would have been met *)
+      Alcotest.(check int) "deadline groups" 1 (Coflow.deadline_total c);
+      Alcotest.(check int) "min deadline missed" 0 (Coflow.deadline_met c);
+      Alcotest.(check bool) "no tasks, no coflow" true
+        (Option.is_none (Fct.coflow (Fct.create ())))
 
 let test_task_aware_scheduling_end_to_end () =
   (* With hot aggregators, task-FIFO arbitration must not be worse than

@@ -1,8 +1,8 @@
-(* Streaming statistics: Welford exactness and merge, t-digest rank-error
-   bound (property-tested over seeded samples), reservoir determinism,
+(* Streaming statistics: Welford exactness, t-digest rank-error bound
+   (property-tested over seeded samples), reservoir determinism,
    streaming-vs-exact equivalence on real runner output, edge cases
-   (all-censored, single record), and deterministic sketch merging whether
-   the per-job collections came from this process or forked children. *)
+   (all-censored, single record), and byte-identical streaming results
+   whether a run happened in this process or in a forked child. *)
 
 let seeded_sample ~seed ~n sampler =
   let rng = Rng.create seed in
@@ -35,28 +35,6 @@ let test_welford_empty_nan () =
   Alcotest.(check bool) "empty mean nan" true (Float.is_nan (Welford.mean w));
   Alcotest.(check bool) "empty variance nan" true
     (Float.is_nan (Welford.variance w))
-
-let test_welford_merge () =
-  let xs = seeded_sample ~seed:8 ~n:5_000 (fun rng -> Rng.float rng 9.) in
-  let split = 1_234 in
-  let a = Welford.create () and b = Welford.create () and whole = Welford.create () in
-  List.iteri
-    (fun i x ->
-      Welford.add whole x;
-      Welford.add (if i < split then a else b) x)
-    xs;
-  let m = Welford.merge a b in
-  Alcotest.(check int) "merged count" (Welford.count whole) (Welford.count m);
-  Alcotest.(check (float 1e-9)) "merged mean" (Welford.mean whole)
-    (Welford.mean m);
-  Alcotest.(check (float 1e-6)) "merged variance" (Welford.variance whole)
-    (Welford.variance m);
-  (* Merging an empty operand on either side is the identity. *)
-  let e = Welford.create () in
-  Alcotest.(check (float 1e-12)) "empty right identity" (Welford.mean a)
-    (Welford.mean (Welford.merge a e));
-  Alcotest.(check (float 1e-12)) "empty left identity" (Welford.mean a)
-    (Welford.mean (Welford.merge e a))
 
 (* ---- t-digest ------------------------------------------------------------ *)
 
@@ -141,27 +119,6 @@ let test_tdigest_edges () =
       ignore (Tdigest.quantile td 1.5));
   Alcotest.check_raises "nan add rejected"
     (Invalid_argument "Tdigest.add: nan sample") (fun () -> Tdigest.add td nan)
-
-let test_tdigest_merge_matches_single () =
-  let xs = seeded_sample ~seed:31 ~n:8_000 (fun rng -> Rng.float rng 7.) in
-  let a = digest_of (List.filteri (fun i _ -> i < 3_000) xs)
-  and b = digest_of (List.filteri (fun i _ -> i >= 3_000) xs) in
-  let m = Tdigest.merge a b in
-  Alcotest.(check int) "merged count" (List.length xs) (Tdigest.count m);
-  let sorted = Array.of_list xs in
-  Array.sort Float.compare sorted;
-  List.iter
-    (fun q -> check_quantile_within_bound ~msg:"merged" m sorted q)
-    [ 0.05; 0.5; 0.95; 0.99 ]
-
-let test_tdigest_merge_deterministic () =
-  let mk seed = digest_of (seeded_sample ~seed ~n:2_000 (fun rng -> Rng.float rng 3.)) in
-  let a = mk 41 and b = mk 42 in
-  let a' = mk 41 and b' = mk 42 in
-  let q1 = Tdigest.quantile (Tdigest.merge a b) 0.99
-  and q2 = Tdigest.quantile (Tdigest.merge a' b') 0.99 in
-  (* Bit-equal, not approximately equal: same operands, same bytes. *)
-  Alcotest.(check bool) "merge is reproducible" true (q1 = q2)
 
 (* ---- reservoir ----------------------------------------------------------- *)
 
@@ -289,41 +246,6 @@ let test_single_record () =
       Alcotest.(check int) (mode ^ ": count") 1 (Fct.count f))
     [ ("exact", Fct.create ()); ("streaming", Fct.create_streaming ()) ]
 
-(* ---- Fct.merge ----------------------------------------------------------- *)
-
-let test_fct_merge_exact_order () =
-  let mk lo =
-    let f = Fct.create () in
-    Fct.add f ~flow:lo ~size_pkts:1 ~start_time:0. ~fct:(float_of_int lo) ();
-    Fct.add f ~flow:(lo + 1) ~size_pkts:1 ~start_time:0.
-      ~fct:(float_of_int (lo + 1)) ();
-    f
-  in
-  let m = Fct.merge (mk 1) (mk 3) in
-  Alcotest.(check (list int)) "a's records then b's" [ 1; 2; 3; 4 ]
-    (List.map (fun r -> r.Fct.flow) (Fct.records m));
-  Alcotest.(check int) "count" 4 (Fct.count m)
-
-let test_fct_merge_mixed_raises () =
-  Alcotest.check_raises "mixed modes rejected"
-    (Invalid_argument "Fct.merge: cannot merge exact and streaming collections")
-    (fun () -> ignore (Fct.merge (Fct.create ()) (Fct.create_streaming ())))
-
-let test_fct_merge_streaming () =
-  let mk seed =
-    let f = Fct.create_streaming ~seed () in
-    let rng = Rng.create seed in
-    for i = 1 to 500 do
-      Fct.add f ~flow:i ~size_pkts:2 ~start_time:0. ~fct:(Rng.float rng 0.01) ()
-    done;
-    f
-  in
-  let m1 = Fct.merge (mk 51) (mk 52) and m2 = Fct.merge (mk 51) (mk 52) in
-  Alcotest.(check int) "merged count" 1_000 (Fct.count m1);
-  Alcotest.(check bool) "merge reproducible bit-for-bit" true
-    (Fct.percentile m1 99. = Fct.percentile m2 99.
-    && Fct.afct m1 = Fct.afct m2)
-
 (* ---- serial vs forked runs ----------------------------------------------- *)
 
 let test_parallel_streaming_determinism () =
@@ -341,34 +263,16 @@ let test_parallel_streaming_determinism () =
       Alcotest.(check string)
         (Printf.sprintf "job %d: serial and forked results byte-identical" i)
         (Result_codec.encode s) (Result_codec.encode f))
-    (List.combine serial forked);
-  let merged = function
-    | [] -> assert false
-    | (r : Runner.result) :: rest ->
-        List.fold_left
-          (fun acc (r : Runner.result) -> Fct.merge acc r.Runner.fct)
-          r.Runner.fct rest
-  in
-  let ms = merged serial and mf = merged forked in
-  Alcotest.(check int) "merged count" (Fct.count ms) (Fct.count mf);
-  Alcotest.(check bool) "merged sketch identical whichever process ran it" true
-    (Fct.percentile ms 99. = Fct.percentile mf 99.
-    && Fct.afct ms = Fct.afct mf
-    && Fct.cdf ~points:20 ms = Fct.cdf ~points:20 mf)
+    (List.combine serial forked)
 
 let suite =
   [
     Alcotest.test_case "welford exact" `Quick test_welford_exact;
     Alcotest.test_case "welford empty" `Quick test_welford_empty_nan;
-    Alcotest.test_case "welford merge" `Quick test_welford_merge;
     Alcotest.test_case "tdigest rank-error bound" `Quick
       test_tdigest_rank_error_bound;
     Alcotest.test_case "tdigest property (qcheck)" `Slow test_tdigest_property;
     Alcotest.test_case "tdigest edges" `Quick test_tdigest_edges;
-    Alcotest.test_case "tdigest merge accuracy" `Quick
-      test_tdigest_merge_matches_single;
-    Alcotest.test_case "tdigest merge deterministic" `Quick
-      test_tdigest_merge_deterministic;
     Alcotest.test_case "reservoir deterministic" `Quick
       test_reservoir_deterministic;
     Alcotest.test_case "reservoir small population" `Quick
@@ -378,10 +282,6 @@ let suite =
     Alcotest.test_case "all-censored degrades to nan" `Quick
       test_all_censored_both_modes;
     Alcotest.test_case "single record" `Quick test_single_record;
-    Alcotest.test_case "fct merge exact order" `Quick test_fct_merge_exact_order;
-    Alcotest.test_case "fct merge mixed raises" `Quick
-      test_fct_merge_mixed_raises;
-    Alcotest.test_case "fct merge streaming" `Quick test_fct_merge_streaming;
     Alcotest.test_case "parallel streaming determinism" `Quick
       test_parallel_streaming_determinism;
   ]

@@ -471,6 +471,17 @@ let test_coflow_runner_aggregate () =
   in
   let r1 = Runner.run Runner.Dctcp (sc ()) in
   let r2 = Runner.run Runner.Dctcp (sc ()) in
+  (* Both statistics modes share one task-group table, so the streaming
+     run's groups are the exact run's. *)
+  let streamed = Runner.run ~stats:`Streaming Runner.Dctcp (sc ()) in
+  Alcotest.(check (option string))
+    "streaming coflow aggregate byte-identical"
+    (Option.map Coflow.to_json r1.Runner.coflow)
+    (Option.map Coflow.to_json streamed.Runner.coflow);
+  Alcotest.(check (list (float 0.)))
+    "streaming task completion times identical"
+    (Fct.task_completion_times r1.Runner.fct)
+    (Fct.task_completion_times streamed.Runner.fct);
   match r1.Runner.coflow with
   | None -> Alcotest.fail "no coflow aggregate"
   | Some c ->
