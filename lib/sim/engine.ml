@@ -9,7 +9,17 @@
    rescheduling pushes a fresh slot with a fresh seq and bumps [key_seq];
    the superseded slot goes stale in place, no heap surgery needed. The
    engine counts dead slots and compacts the heap when they outnumber live
-   ones ([maybe_compact]). *)
+   ones ([maybe_compact]).
+
+   FIFO lanes: a lane is a ring of [(time, seq, closure)] entries pushed in
+   increasing key order, so its head is its minimum and a push or pop is
+   O(1). [run] pops the smaller of the heap top and [best], the non-empty
+   lane with the smallest head. Lane entries take their seq from the same
+   counter as heap slots, so the pop order is the one a single heap would
+   give. A push whose time is below its lane's newest entry goes to the
+   heap instead. Lane entries are never cancelled: they hold a bare closure,
+   not an event record. Everything that sizes the queue ([note_depth],
+   [maybe_compact], [pending]) counts heap slots plus lane entries. *)
 
 type event = {
   mutable fn : unit -> unit;
@@ -22,12 +32,26 @@ type event = {
 
 type timer = { tev : event; tlabel : string option }
 
+type lane = {
+  delay : float;  (* [delay_lane]'s key; nan, which equals nothing, if none *)
+  mutable ltimes : float array;
+  mutable lseqs : int array;
+  mutable lfns : (unit -> unit) array;  (* [ignore_fn] in free slots *)
+  mutable lctrs : int ref option array;  (* [None] in free slots *)
+  mutable head : int;
+  mutable llen : int;
+}
+
 type t = {
   heap : event Eheap.t;
   mutable time : float;
   mutable seq : int;
   mutable processed : int;
   mutable dead : int;  (* cancelled/superseded slots still in the heap *)
+  mutable lanes : lane array;  (* every lane, in creation order *)
+  mutable best : lane;  (* non-empty lane with the smallest head, or [idle] *)
+  idle : lane;  (* the empty lane [best] names when every lane is empty *)
+  mutable laned : int;  (* entries across all lanes *)
   mutable stopped : bool;
   mutable pool : event array;
   mutable pool_len : int;
@@ -64,13 +88,29 @@ let dummy_event () =
     ctr = None;
   }
 
+let empty_lane delay =
+  {
+    delay;
+    ltimes = [||];
+    lseqs = [||];
+    lfns = [||];
+    lctrs = [||];
+    head = 0;
+    llen = 0;
+  }
+
 let create () =
+  let idle = empty_lane nan in
   {
     heap = Eheap.create ~dummy:(dummy_event ()) ();
     time = 0.;
     seq = 0;
     processed = 0;
     dead = 0;
+    lanes = [||];
+    best = idle;
+    idle;
+    laned = 0;
     stopped = false;
     pool = [||];
     pool_len = 0;
@@ -116,7 +156,7 @@ let site_ctr t label =
             Some c)
 
 let note_depth t =
-  let d = Eheap.size t.heap in
+  let d = Eheap.size t.heap + t.laned in
   if d > t.peak_heap then t.peak_heap <- d
 
 let pool_cap = 1024
@@ -152,7 +192,7 @@ let alloc_event t fn ctr =
    them to matter). The trigger and the sweep are pure functions of
    simulation state, so compaction never perturbs results. *)
 let maybe_compact t =
-  let n = Eheap.size t.heap in
+  let n = Eheap.size t.heap + t.laned in
   if t.dead > 64 && 2 * t.dead > n then begin
     Eheap.compact t.heap ~keep:(fun ~seq e -> e.live && e.key_seq = seq);
     t.dead <- 0
@@ -166,19 +206,26 @@ let push t ~time fn ctr =
   note_depth t;
   e
 
+(* The checks are written [not (x >= bound)] so that a NaN time or delay,
+   for which every comparison is false, is rejected too. *)
+let[@inline never] bad_time fn time now =
+  invalid_arg
+    (Printf.sprintf "Engine.%s: time %g is in the past or nan (now %g)" fn time
+       now)
+
+let[@inline never] bad_delay fn delay =
+  invalid_arg (Printf.sprintf "Engine.%s: delay %g is negative or nan" fn delay)
+
 let schedule_at ?label t ~time fn =
-  if time < t.time then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule_at: time %g is in the past (now %g)" time
-         t.time);
+  if not (time >= t.time) then bad_time "schedule_at" time t.time;
   ignore (push t ~time fn (site_ctr t label))
 
 let schedule ?label t ~delay fn =
-  if delay < 0. then invalid_arg "Engine.schedule: negative delay";
+  if not (delay >= 0.) then bad_delay "schedule" delay;
   schedule_at ?label t ~time:(t.time +. delay) fn
 
 let schedule_cancellable ?label t ~delay fn =
-  if delay < 0. then invalid_arg "Engine.schedule_cancellable: negative delay";
+  if not (delay >= 0.) then bad_delay "schedule_cancellable" delay;
   let e = push t ~time:(t.time +. delay) fn (site_ctr t label) in
   let g = e.gen in
   fun () ->
@@ -187,6 +234,90 @@ let schedule_cancellable ?label t ~delay fn =
       t.dead <- t.dead + 1;
       maybe_compact t
     end
+
+(* ---- FIFO lanes ---- *)
+
+let add_lane t delay =
+  let l = empty_lane delay in
+  t.lanes <- Array.append t.lanes [| l |];
+  l
+
+let lane t = add_lane t nan
+
+let delay_lane t ~delay =
+  if not (delay >= 0.) then bad_delay "delay_lane" delay;
+  match Array.find_opt (fun l -> l.delay = delay) t.lanes with
+  | Some l -> l
+  | None -> add_lane t delay
+
+(* [a]'s head comes before [b]'s. Both are non-empty. *)
+let[@inline] head_before a b =
+  let ta = a.ltimes.(a.head) and tb = b.ltimes.(b.head) in
+  ta < tb || (ta = tb && a.lseqs.(a.head) < b.lseqs.(b.head))
+
+let rescan t =
+  let best = ref t.idle in
+  let lanes = t.lanes in
+  for i = 0 to Array.length lanes - 1 do
+    let l = lanes.(i) in
+    if l.llen > 0 && (!best.llen = 0 || head_before l !best) then best := l
+  done;
+  t.best <- !best
+
+(* Double the ring, unrolling its entries to the front. *)
+let grow l =
+  let cap = Array.length l.ltimes in
+  let ncap = if cap = 0 then 64 else 2 * cap in
+  let times = Array.make ncap 0. in
+  let seqs = Array.make ncap 0 in
+  let fns = Array.make ncap ignore_fn in
+  let ctrs = Array.make ncap None in
+  for k = 0 to l.llen - 1 do
+    let i = (l.head + k) land (cap - 1) in
+    times.(k) <- l.ltimes.(i);
+    seqs.(k) <- l.lseqs.(i);
+    fns.(k) <- l.lfns.(i);
+    ctrs.(k) <- l.lctrs.(i)
+  done;
+  l.ltimes <- times;
+  l.lseqs <- seqs;
+  l.lfns <- fns;
+  l.lctrs <- ctrs;
+  l.head <- 0
+
+(* An empty lane takes any [time >= now]: its entries have all fired, at
+   times no later than [now]. *)
+let[@inline] lane_push ?label t l ~time fn =
+  let n = l.llen in
+  let mask = Array.length l.ltimes - 1 in
+  if n = 0 || time >= l.ltimes.((l.head + n - 1) land mask) then begin
+    if n = mask + 1 then grow l;
+    let i = (l.head + n) land (Array.length l.ltimes - 1) in
+    l.ltimes.(i) <- time;
+    l.lseqs.(i) <- t.seq;
+    l.lfns.(i) <- fn;
+    if t.profiling then l.lctrs.(i) <- site_ctr t label;
+    (* The new entry has the largest seq yet, so it becomes the head of
+       heads only when its lane was empty and its time is strictly
+       smallest. *)
+    if n = 0 then begin
+      let b = t.best in
+      if b.llen = 0 || time < b.ltimes.(b.head) then t.best <- l
+    end;
+    l.llen <- n + 1;
+    t.seq <- t.seq + 1;
+    t.laned <- t.laned + 1;
+    note_depth t
+  end
+  else ignore (push t ~time fn (site_ctr t label))
+
+let lane_schedule_at ?label t l ~time fn =
+  if not (time >= t.time) then bad_time "lane_schedule_at" time t.time;
+  lane_push ?label t l ~time fn
+
+let lane_schedule ?label t l ~delay fn =
+  if not (delay >= 0.) then bad_delay "lane_schedule" delay;
+  lane_push ?label t l ~time:(t.time +. delay) fn
 
 let timer ?label _t fn =
   {
@@ -203,10 +334,7 @@ let timer ?label _t fn =
   }
 
 let timer_schedule_at t tm ~time =
-  if time < t.time then
-    invalid_arg
-      (Printf.sprintf "Engine.timer_schedule_at: time %g is in the past (now %g)"
-         time t.time);
+  if not (time >= t.time) then bad_time "timer_schedule_at" time t.time;
   let e = tm.tev in
   if e.live then t.dead <- t.dead + 1 (* the superseded slot goes stale *);
   e.live <- true;
@@ -218,7 +346,7 @@ let timer_schedule_at t tm ~time =
   maybe_compact t
 
 let timer_schedule t tm ~delay =
-  if delay < 0. then invalid_arg "Engine.timer_schedule: negative delay";
+  if not (delay >= 0.) then bad_delay "timer_schedule" delay;
   timer_schedule_at t tm ~time:(t.time +. delay)
 
 let timer_cancel t tm =
@@ -247,19 +375,53 @@ let run ?until ?max_events t =
      event keeps its original seq, so FIFO tie-order is stable across chunked
      [run ~until] calls. *)
   while !continue && not t.stopped do
-    if Eheap.is_empty t.heap then begin
-      exhausted := true;
-      continue := false
-    end
-    else begin
-      let time = Eheap.min_time t.heap in
+    let l = t.best in
+    let heap = t.heap in
+    if
+      l.llen > 0
+      && (Eheap.is_empty heap
+         ||
+         let lt = l.ltimes.(l.head) and ht = Eheap.min_time heap in
+         lt < ht || (lt = ht && l.lseqs.(l.head) < Eheap.min_seq heap))
+    then begin
+      let h = l.head in
+      let time = l.ltimes.(h) in
       if time > horizon then begin
         exhausted := true;
         continue := false
       end
       else begin
-        let seq = Eheap.min_seq t.heap in
-        let e = Eheap.pop_min t.heap in
+        let fn = l.lfns.(h) in
+        l.lfns.(h) <- ignore_fn;
+        (match l.lctrs.(h) with
+        | None -> ()
+        | Some c ->
+            incr c;
+            l.lctrs.(h) <- None);
+        l.head <- (h + 1) land (Array.length l.ltimes - 1);
+        l.llen <- l.llen - 1;
+        t.laned <- t.laned - 1;
+        rescan t;
+        decr budget;
+        t.time <- time;
+        t.processed <- t.processed + 1;
+        fn ();
+        if !budget <= 0 then continue := false
+      end
+    end
+    else if Eheap.is_empty heap then begin
+      exhausted := true;
+      continue := false
+    end
+    else begin
+      let time = Eheap.min_time heap in
+      if time > horizon then begin
+        exhausted := true;
+        continue := false
+      end
+      else begin
+        let seq = Eheap.min_seq heap in
+        let e = Eheap.pop_min heap in
         (* Every pop counts against the budget, live or dead: draining dead
            slots is work, and an all-dead heap must still terminate. *)
         decr budget;
@@ -306,4 +468,4 @@ let run ?until ?max_events t =
 
 let stop t = t.stopped <- true
 let events_processed t = t.processed
-let pending t = Eheap.size t.heap
+let pending t = Eheap.size t.heap + t.laned

@@ -7,7 +7,12 @@
 
     Fired one-shot events are recycled through an internal pool, so the
     steady-state hot path (schedule, pop, execute) allocates nothing beyond
-    the caller's closure. *)
+    the caller's closure. Events whose times arrive in order can bypass the
+    heap through {{!lanes}FIFO lanes}.
+
+    Every scheduling function raises [Invalid_argument], naming the value,
+    when a time is before [now t] or a delay is negative, and when either is
+    NaN. *)
 
 type t
 
@@ -21,8 +26,8 @@ val create : unit -> t
 val now : t -> float
 
 (** [schedule t ~delay f] runs [f] at [now t +. delay]. [delay] must be
-    non-negative. [label] names the schedule site for {!profile}; it is
-    ignored (and costs nothing) unless profiling is on. *)
+    non-negative and not NaN. [label] names the schedule site for
+    {!profile}; it is ignored (and costs nothing) unless profiling is on. *)
 val schedule : ?label:string -> t -> delay:float -> (unit -> unit) -> unit
 
 (** [schedule_at t ~time f] runs [f] at absolute [time >= now t]. *)
@@ -31,6 +36,42 @@ val schedule_at : ?label:string -> t -> time:float -> (unit -> unit) -> unit
 (** Like [schedule], returning a cancellation handle. *)
 val schedule_cancellable :
   ?label:string -> t -> delay:float -> (unit -> unit) -> cancel
+
+(** {1:lanes FIFO lanes}
+
+    A lane is a ring of pending events whose [(time, seq)] keys are pushed
+    in increasing order, so pushing and popping cost O(1) instead of a heap
+    sift. Events scheduled at [now +. d] for a constant [d] have this
+    property, and so do events pushed in time order ahead of the run. [run]
+    fires the smallest of the heap top and every lane head, and lane pushes
+    draw their seq from the same counter as heap pushes: the firing order
+    is exactly the one {!schedule} and {!schedule_at} would give. A push
+    whose time is below its lane's newest entry goes to the heap, so
+    correctness never depends on the caller keeping order; only the speed
+    does. Lane events cannot be cancelled.
+
+    [run] compares the heap top with the head of every non-empty lane after
+    each lane pop, so a run should use a handful of lanes, not one per
+    object. *)
+
+type lane
+
+(** [lane t] is a new, empty lane of [t]. *)
+val lane : t -> lane
+
+(** [delay_lane t ~delay] is [t]'s lane for events scheduled [delay] after
+    [now]: every call with an equal [delay] returns the same lane. *)
+val delay_lane : t -> delay:float -> lane
+
+(** [lane_schedule t l ~delay f] runs [f] at [now t +. delay], like
+    {!schedule}, queued on [l] when that keeps [l] in order. *)
+val lane_schedule :
+  ?label:string -> t -> lane -> delay:float -> (unit -> unit) -> unit
+
+(** [lane_schedule_at t l ~time f] runs [f] at absolute [time >= now t],
+    like {!schedule_at}, queued on [l] when that keeps [l] in order. *)
+val lane_schedule_at :
+  ?label:string -> t -> lane -> time:float -> (unit -> unit) -> unit
 
 (** {1 Timers}
 
@@ -82,14 +123,15 @@ val stop : t -> unit
 (** Number of events executed so far (cancelled events are not counted). *)
 val events_processed : t -> int
 
-(** Number of events currently pending, including cancelled-but-unreaped
-    slots (lazy compaction may shrink this without any event firing). *)
+(** Number of events currently pending across the heap and every lane,
+    including cancelled-but-unreaped heap slots (lazy compaction may shrink
+    this without any event firing). *)
 val pending : t -> int
 
 (** {1 Profiling}
 
     Off by default. When enabled, [schedule*] calls carrying a [?label]
-    count executions per site, the peak heap depth is tracked, and [run]
+    count executions per site, and [run]
     accumulates CPU time and GC deltas ([Gc.quick_stat] before/after).
     Site counts and peak depth are deterministic; [wall_s] and the GC
     fields depend on process state and must never be folded into
@@ -97,7 +139,9 @@ val pending : t -> int
 
 type profile = {
   executed : int;  (** same as [events_processed] *)
-  peak_heap : int;  (** max heap size observed at any schedule *)
+  peak_heap : int;
+      (** max {!pending} observed at any schedule: heap slots plus lane
+          entries, tracked whether or not profiling is on *)
   wall_s : float;  (** CPU seconds spent inside [run] (profiling runs only) *)
   minor_words : float;  (** minor-heap words allocated during [run] *)
   promoted_words : float;  (** words promoted to the major heap *)

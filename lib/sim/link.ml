@@ -6,6 +6,12 @@
    closures ("link-tx", "link-prop") are allocated once per link at
    [create] and reused for every packet, instead of once per packet hop.
 
+   Constant delays also keep those events in time order across links, so
+   they go through engine FIFO lanes instead of the event heap:
+   propagations on the lane for the link's [delay_s], full-rate
+   transmissions on the lane for their serialization time. Links with the
+   same delay, or the same rate and packet size, share a lane.
+
    Fault plane: a link can be administratively [set_up false]. While down,
    the transmitter stalls (queued packets wait in the qdisc and may
    overflow it) and everything already on the wire is blackholed — the
@@ -44,6 +50,9 @@ type t = {
   dummy : Packet.t;  (* [txing] when idle, so it retains nothing *)
   mutable txing : Packet.t;  (* the packet being serialized; dummy if none *)
   fly : Pkt_ring.t;  (* packets propagating, oldest first *)
+  prop_lane : Engine.lane;
+  mutable tx_sizes : int array;  (* packet sizes with a full-rate lane *)
+  mutable tx_lanes : Engine.lane array;  (* parallel to [tx_sizes] *)
   mutable tx_done : unit -> unit;
   mutable prop_done : unit -> unit;
 }
@@ -58,6 +67,20 @@ let blackhole t pkt =
   end
   else Packet.free pkt
 
+(* The full-rate serialization lane for [size]-byte packets, found by a
+   scan of the (two or three) sizes this link has sent. *)
+let rec tx_lane t size i =
+  if i = Array.length t.tx_sizes then begin
+    let l =
+      Engine.delay_lane t.engine ~delay:(float_of_int (8 * size) /. t.rate_bps)
+    in
+    t.tx_sizes <- Array.append t.tx_sizes [| size |];
+    t.tx_lanes <- Array.append t.tx_lanes [| l |];
+    l
+  end
+  else if t.tx_sizes.(i) = size then t.tx_lanes.(i)
+  else tx_lane t size (i + 1)
+
 let transmit_next t =
   if not t.up then t.busy <- false
   else
@@ -67,10 +90,14 @@ let transmit_next t =
         t.busy <- true;
         (* lint: allow pool-lifetime — ownership transfers to the wire head; handed to the fly ring or blackholed at tx_done *)
         t.txing <- pkt;
-        let tx_time =
-          float_of_int (8 * pkt.Packet.size) /. (t.rate_bps -. t.fluid_bps)
-        in
-        Engine.schedule ~label:"link-tx" t.engine ~delay:tx_time t.tx_done
+        let size = pkt.Packet.size in
+        let tx_time = float_of_int (8 * size) /. (t.rate_bps -. t.fluid_bps) in
+        (* A residual rate moves with every fluid recompute, so hybrid
+           transmissions are not in time order and stay in the heap. *)
+        if t.fluid_bps = 0. then
+          Engine.lane_schedule ~label:"link-tx" t.engine (tx_lane t size 0)
+            ~delay:tx_time t.tx_done
+        else Engine.schedule ~label:"link-tx" t.engine ~delay:tx_time t.tx_done
 
 let create engine ~qdisc ~rate_bps ~delay_s ?(counters = Counters.create ())
     ~deliver () =
@@ -99,6 +126,9 @@ let create engine ~qdisc ~rate_bps ~delay_s ?(counters = Counters.create ())
       dummy;
       txing = dummy;
       fly = Pkt_ring.create ();
+      prop_lane = Engine.delay_lane engine ~delay:delay_s;
+      tx_sizes = [||];
+      tx_lanes = [||];
       tx_done = ignore;
       prop_done = ignore;
     }
@@ -154,8 +184,8 @@ let create engine ~qdisc ~rate_bps ~delay_s ?(counters = Counters.create ())
            branch clamps arrivals monotone — a FIFO never reorders — so a
            shrinking standing term cannot invert the fly ring's order. *)
         (if t.standing_s = 0. && t.last_arrival = 0. then
-           Engine.schedule ~label:"link-prop" t.engine ~delay:t.delay_s
-             t.prop_done
+           Engine.lane_schedule ~label:"link-prop" t.engine t.prop_lane
+             ~delay:t.delay_s t.prop_done
          else begin
            let now = Engine.now t.engine in
            let arrive =

@@ -68,7 +68,7 @@ let create_with_inspect counters ~bands ~limit_pkts ~mark_threshold =
       end
       else scan (i + 1)
     in
-    scan 0
+    if !total = 0 then None else scan 0
   in
   let band_occ () =
     Array.init bands (fun i -> (Pkt_ring.length qs.(i), band_bytes.(i)))

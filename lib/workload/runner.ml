@@ -495,10 +495,12 @@ let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
         start_packet ~remaining_pkts:size_pkts ~deadline:spec.Scenario.deadline
           ~init_cwnd:None ()
   in
+  (* Specs come in start order, so the launches fill one FIFO lane. *)
+  let launches = Engine.lane engine in
   List.iter
     (fun spec ->
-      Engine.schedule_at ~label:"flow-launch" engine ~time:spec.Scenario.start
-        (fun () -> launch spec))
+      Engine.lane_schedule_at ~label:"flow-launch" engine launches
+        ~time:spec.Scenario.start (fun () -> launch spec))
     plan.Scenario.specs;
   let last_arrival =
     List.fold_left (fun acc s -> Float.max acc s.Scenario.start) 0.

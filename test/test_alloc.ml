@@ -75,6 +75,49 @@ let pass_words_per_live () =
   let passes = (Fluid.stats fl).Fluid.recomputes - before in
   w /. float_of_int passes /. float_of_int live
 
+(* A warm 40-host rack under [Net.send]: 512 flows between random host
+   pairs, packets in bursts of 1024 that drain before the next burst. The
+   first bursts grow the queues, rings and event lanes; the rest measure
+   the steady state, per packet-hop. *)
+let hop_words () =
+  Packet.reset_ids ();
+  let e = Engine.create () in
+  let c = Counters.create () in
+  let topo =
+    Topology.single_rack e c ~hosts:40 ~rate_bps:1e9 ~link_delay_s:25e-6
+      ~qdisc:(fun ~rate_bps:_ -> Queue_disc.droptail c ~limit_pkts:1025)
+  in
+  let net = topo.Topology.net and hosts = topo.Topology.hosts in
+  let nh = Array.length hosts in
+  let rng = Rng.create 5 in
+  let flows = 512 and burst = 1024 in
+  let pairs =
+    Array.init flows (fun f ->
+        let s = Rng.int rng nh in
+        let d = (s + 1 + Rng.int rng (nh - 1)) mod nh in
+        Net.register_flow net ~host:hosts.(d) ~flow:f ignore;
+        (hosts.(s), hosts.(d)))
+  in
+  let send_burst b () =
+    for i = 0 to burst - 1 do
+      let f = i mod flows in
+      let src, dst = pairs.(f) in
+      Net.send net
+        (Packet.make ~flow:f ~src ~dst ~kind:Packet.Data ~size:1500 ~seq:b
+           ~sent_at:0. ())
+    done
+  in
+  let bursts first n =
+    for b = first to first + n - 1 do
+      Engine.schedule_at e ~time:(float_of_int b *. 1e-3) (send_burst b)
+    done;
+    Engine.run ~until:(float_of_int (first + n) *. 1e-3) e
+  in
+  bursts 0 4;
+  let hops = c.Counters.dequeued_pkts in
+  let w = words (fun () -> bursts 4 16) in
+  w /. float_of_int (c.Counters.dequeued_pkts - hops)
+
 (* Measured at about 24 and 9 words. On these rigs, a round that sorted
    its tables through [Det_tbl] and rebuilt its inputs as lists took about
    500 words per decision, and the rescanning water-fill about 400 per
@@ -87,8 +130,16 @@ let test_pass () =
   let w = pass_words_per_live () in
   if w > 16. then Alcotest.failf "%.1f minor words per live flow per pass (bound 16)" w
 
+(* Measured at about 11.8 words; the engine and links before FIFO lanes
+   took about 16.0 on the same rig. Most of what is left is boxed floats:
+   the clock at each event, and a transmission's serialization time. *)
+let test_hop () =
+  let w = hop_words () in
+  if w > 12. then Alcotest.failf "%.2f minor words per packet-hop (bound 12)" w
+
 let suite =
   [
+    Alcotest.test_case "packet hop" `Quick test_hop;
     Alcotest.test_case "arbitration round" `Quick test_round;
     Alcotest.test_case "water-filling pass" `Quick test_pass;
   ]
