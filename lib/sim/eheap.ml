@@ -22,6 +22,7 @@ type 'a t = {
   mutable free : int array;  (* stack of unused value slots *)
   mutable nfree : int;
   mutable len : int;
+  mutable hw : int;  (* peak [len] since the last [compact] *)
   dummy : 'a;
 }
 
@@ -34,6 +35,7 @@ let create ~dummy () =
     free = [||];
     nfree = 0;
     len = 0;
+    hw = 0;
     dummy;
   }
 
@@ -57,16 +59,12 @@ let realloc t ncap =
   t.free <- Array.init ncap (fun k -> ncap - 1 - k);
   t.nfree <- ncap - len
 
-let add t ~time ~seq v =
-  if t.nfree = 0 then
-    realloc t (if t.len = 0 then 64 else 2 * t.len);
-  t.nfree <- t.nfree - 1;
-  let slot = t.free.(t.nfree) in
-  t.vals.(slot) <- v;
+(* Sift the entry at position [i] up: read its key first, then shift
+   smaller-keyed parents down into the hole until the key fits. *)
+let sift_up t i =
   let times = t.times and seqs = t.seqs and slots = t.slots in
-  (* Sift the hole up from the new last position; parents shift down. *)
-  let i = ref t.len in
-  t.len <- t.len + 1;
+  let time = times.(i) and seq = seqs.(i) and slot = slots.(i) in
+  let i = ref i in
   let continue = ref true in
   while !continue && !i > 0 do
     let p = (!i - 1) / 4 in
@@ -83,10 +81,28 @@ let add t ~time ~seq v =
   seqs.(!i) <- seq;
   slots.(!i) <- slot
 
-(* Sift the entry [(time, seq, slot)] down from the hole at [i], with [len]
-   live positions. Shared by [pop_min] and the heapify pass in [compact]. *)
-let sift_down t ~len ~time ~seq slot i =
+(* The key is written straight into the arrays at the new last position,
+   and [sift_up] reads it back by index: inlined into the caller, the
+   float [time] is never boxed. *)
+let[@inline] add t ~time ~seq v =
+  if t.nfree = 0 then realloc t (if t.len = 0 then 64 else 2 * t.len);
+  t.nfree <- t.nfree - 1;
+  let slot = t.free.(t.nfree) in
+  t.vals.(slot) <- v;
+  let i = t.len in
+  t.times.(i) <- time;
+  t.seqs.(i) <- seq;
+  t.slots.(i) <- slot;
+  t.len <- i + 1;
+  if i >= t.hw then t.hw <- i + 1;
+  sift_up t i
+
+(* Sift the entry at position [i] down, with [len] live positions: read its
+   key first, then shift the smallest child up into the hole until the key
+   fits. Shared by [pop_min] and the heapify pass in [compact]. *)
+let sift_down t ~len i =
   let times = t.times and seqs = t.seqs and slots = t.slots in
+  let time = times.(i) and seq = seqs.(i) and slot = slots.(i) in
   let i = ref i in
   let continue = ref true in
   while !continue do
@@ -129,9 +145,12 @@ let pop_min t =
   release t s0;
   let last = t.len - 1 in
   t.len <- last;
-  if last > 0 then
-    sift_down t ~len:last ~time:t.times.(last) ~seq:t.seqs.(last)
-      t.slots.(last) 0;
+  if last > 0 then begin
+    t.times.(0) <- t.times.(last);
+    t.seqs.(0) <- t.seqs.(last);
+    t.slots.(0) <- t.slots.(last);
+    sift_down t ~len:last 0
+  end;
   v0
 
 let pop t =
@@ -161,18 +180,20 @@ let compact t ~keep =
   done;
   let len = !w in
   t.len <- len;
-  let cap = Array.length t.times in
-  if cap > 64 && 4 * len < cap then
-    (* Live occupancy is far below capacity: shrink the backing arrays to
-       2x live (floor 64) so a long run's peak RSS is not pinned at the
-       pre-compaction high-water mark. Strictly smaller than [cap] here
-       because cap > max(64, 4*len). *)
-    realloc t (if 2 * len > 64 then 2 * len else 64);
+  (* Shrink to what the cycle that just ended needed, and only when it
+     needed far less than the arrays hold: the next cycle, if it peaks
+     alike, fits without regrowing. Shrinking on the survivors alone would
+     regrow the arrays at every compaction of a heap that refills between
+     them. The new capacity is at least [len] because [hw >= len]. *)
+  let hw = t.hw and cap = Array.length t.times in
+  t.hw <- len;
+  if cap > 64 && 4 * hw < cap then
+    realloc t (if 2 * hw > 64 then 2 * hw else 64);
   (* The last internal node is the parent of position [len - 1]; with
      fewer than two survivors there is none. *)
   if len > 1 then
     for i = (len - 2) / 4 downto 0 do
-      sift_down t ~len ~time:t.times.(i) ~seq:t.seqs.(i) t.slots.(i) i
+      sift_down t ~len i
     done
 
 let clear t =
@@ -180,6 +201,11 @@ let clear t =
     release t t.slots.(r)
   done;
   t.len <- 0
+
+let held t =
+  let n = ref 0 in
+  Array.iter (fun v -> if v != t.dummy then incr n) t.vals;
+  !n
 
 let size t = t.len
 let is_empty t = t.len = 0

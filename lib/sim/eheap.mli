@@ -17,7 +17,8 @@ type 'a t
     accessor. *)
 val create : dummy:'a -> unit -> 'a t
 
-(** [add t ~time ~seq v] inserts [v] with key [(time, seq)]. *)
+(** [add t ~time ~seq v] inserts [v] with key [(time, seq)]. It is inlined
+    into its caller, so the key is stored without boxing [time]. *)
 val add : 'a t -> time:float -> seq:int -> 'a -> unit
 
 (** [min_time t] is the time key of the minimum element. Unspecified when
@@ -42,9 +43,12 @@ val peek_time : 'a t -> float option
 (** [compact t ~keep] drops every element for which [keep ~seq v] is false,
     then restores the heap invariant (Floyd heapify, O(n)). Relative order
     of surviving elements is unchanged because their keys are unchanged.
-    When survivors occupy less than a quarter of capacity (and capacity
-    exceeds the 64-entry floor) the SoA backing arrays are reallocated at
-    2x the live size, releasing the high-water-mark footprint. *)
+    When the heap's peak size since the previous [compact] (or since
+    creation) is below a quarter of capacity, and capacity exceeds the
+    64-entry floor, the SoA backing arrays are reallocated at twice that
+    peak (floor 64): a burst's high-water mark is released once a cycle
+    no longer needs it, and a heap that refills to the same size between
+    compactions keeps its arrays. *)
 val compact : 'a t -> keep:(seq:int -> 'a -> bool) -> unit
 
 (** [clear t] removes every element, keeping the backing arrays' capacity
@@ -52,6 +56,12 @@ val compact : 'a t -> keep:(seq:int -> 'a -> bool) -> unit
 val clear : 'a t -> unit
 
 val size : 'a t -> int
+
+(** [held t] is the number of value slots that do not hold [dummy]. Every
+    slot a popped, compacted or cleared value leaves holds [dummy] again,
+    so this equals {!size} when no live value is [dummy] itself. O(capacity);
+    for tests. *)
+val held : 'a t -> int
 val is_empty : 'a t -> bool
 
 (** Current backing-array capacity in entries (all the SoA arrays share

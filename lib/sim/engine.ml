@@ -42,9 +42,14 @@ type lane = {
   mutable llen : int;
 }
 
+(* A float-only record is stored flat, so setting the clock writes an
+   unboxed float: in [t] itself, a mixed record, each store would allocate
+   a box. *)
+type clock = { mutable now : float }
+
 type t = {
   heap : event Eheap.t;
-  mutable time : float;
+  clock : clock;
   mutable seq : int;
   mutable processed : int;
   mutable dead : int;  (* cancelled/superseded slots still in the heap *)
@@ -103,7 +108,7 @@ let create () =
   let idle = empty_lane nan in
   {
     heap = Eheap.create ~dummy:(dummy_event ()) ();
-    time = 0.;
+    clock = { now = 0. };
     seq = 0;
     processed = 0;
     dead = 0;
@@ -123,7 +128,7 @@ let create () =
     major_collections = 0;
   }
 
-let now t = t.time
+let[@inline] now t = t.clock.now
 let set_profiling t flag = t.profiling <- flag
 
 let profile t =
@@ -198,7 +203,7 @@ let maybe_compact t =
     t.dead <- 0
   end
 
-let push t ~time fn ctr =
+let[@inline] push t ~time fn ctr =
   let e = alloc_event t fn ctr in
   e.key_seq <- t.seq;
   Eheap.add t.heap ~time ~seq:t.seq e;
@@ -216,17 +221,17 @@ let[@inline never] bad_time fn time now =
 let[@inline never] bad_delay fn delay =
   invalid_arg (Printf.sprintf "Engine.%s: delay %g is negative or nan" fn delay)
 
-let schedule_at ?label t ~time fn =
-  if not (time >= t.time) then bad_time "schedule_at" time t.time;
+let[@inline] schedule_at ?label t ~time fn =
+  if not (time >= t.clock.now) then bad_time "schedule_at" time t.clock.now;
   ignore (push t ~time fn (site_ctr t label))
 
-let schedule ?label t ~delay fn =
+let[@inline] schedule ?label t ~delay fn =
   if not (delay >= 0.) then bad_delay "schedule" delay;
-  schedule_at ?label t ~time:(t.time +. delay) fn
+  schedule_at ?label t ~time:(t.clock.now +. delay) fn
 
 let schedule_cancellable ?label t ~delay fn =
   if not (delay >= 0.) then bad_delay "schedule_cancellable" delay;
-  let e = push t ~time:(t.time +. delay) fn (site_ctr t label) in
+  let e = push t ~time:(t.clock.now +. delay) fn (site_ctr t label) in
   let g = e.gen in
   fun () ->
     if e.gen = g && e.live then begin
@@ -311,13 +316,14 @@ let[@inline] lane_push ?label t l ~time fn =
   end
   else ignore (push t ~time fn (site_ctr t label))
 
-let lane_schedule_at ?label t l ~time fn =
-  if not (time >= t.time) then bad_time "lane_schedule_at" time t.time;
+let[@inline] lane_schedule_at ?label t l ~time fn =
+  if not (time >= t.clock.now) then
+    bad_time "lane_schedule_at" time t.clock.now;
   lane_push ?label t l ~time fn
 
-let lane_schedule ?label t l ~delay fn =
+let[@inline] lane_schedule ?label t l ~delay fn =
   if not (delay >= 0.) then bad_delay "lane_schedule" delay;
-  lane_push ?label t l ~time:(t.time +. delay) fn
+  lane_push ?label t l ~time:(t.clock.now +. delay) fn
 
 let timer ?label _t fn =
   {
@@ -333,8 +339,9 @@ let timer ?label _t fn =
     tlabel = label;
   }
 
-let timer_schedule_at t tm ~time =
-  if not (time >= t.time) then bad_time "timer_schedule_at" time t.time;
+let[@inline] timer_schedule_at t tm ~time =
+  if not (time >= t.clock.now) then
+    bad_time "timer_schedule_at" time t.clock.now;
   let e = tm.tev in
   if e.live then t.dead <- t.dead + 1 (* the superseded slot goes stale *);
   e.live <- true;
@@ -345,9 +352,9 @@ let timer_schedule_at t tm ~time =
   note_depth t;
   maybe_compact t
 
-let timer_schedule t tm ~delay =
+let[@inline] timer_schedule t tm ~delay =
   if not (delay >= 0.) then bad_delay "timer_schedule" delay;
-  timer_schedule_at t tm ~time:(t.time +. delay)
+  timer_schedule_at t tm ~time:(t.clock.now +. delay)
 
 let timer_cancel t tm =
   let e = tm.tev in
@@ -403,7 +410,7 @@ let run ?until ?max_events t =
         t.laned <- t.laned - 1;
         rescan t;
         decr budget;
-        t.time <- time;
+        t.clock.now <- time;
         t.processed <- t.processed + 1;
         fn ();
         if !budget <= 0 then continue := false
@@ -427,7 +434,7 @@ let run ?until ?max_events t =
         decr budget;
         if e.live && e.key_seq = seq then begin
           e.live <- false;
-          t.time <- time;
+          t.clock.now <- time;
           t.processed <- t.processed + 1;
           (match e.ctr with Some c -> incr c | None -> ());
           let fn = e.fn in
@@ -462,8 +469,8 @@ let run ?until ?max_events t =
      of event budget) has simulated the whole [0, until] window: advance the
      clock so [now] reports the horizon, not the last event time. *)
   match until with
-  | Some horizon when !exhausted && (not t.stopped) && horizon > t.time ->
-      t.time <- horizon
+  | Some horizon when !exhausted && (not t.stopped) && horizon > t.clock.now ->
+      t.clock.now <- horizon
   | _ -> ()
 
 let stop t = t.stopped <- true

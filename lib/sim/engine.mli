@@ -22,7 +22,11 @@ type cancel = unit -> unit
 
 val create : unit -> t
 
-(** [now t] is the current virtual time in seconds. *)
+(** [now t] is the current virtual time in seconds: [0.] before the first
+    event, the time of the event being executed while [run] runs one, and
+    after [run] returns the last executed event's time, or [until] when
+    the run covered its whole window. It never decreases. Inlined into the
+    caller, it reads an unboxed float and allocates nothing. *)
 val now : t -> float
 
 (** [schedule t ~delay f] runs [f] at [now t +. delay]. [delay] must be

@@ -84,20 +84,21 @@ let rec tx_lane t size i =
 let transmit_next t =
   if not t.up then t.busy <- false
   else
-    match t.qdisc.Queue_disc.dequeue () with
-    | None -> t.busy <- false
-    | Some pkt ->
-        t.busy <- true;
-        (* lint: allow pool-lifetime — ownership transfers to the wire head; handed to the fly ring or blackholed at tx_done *)
-        t.txing <- pkt;
-        let size = pkt.Packet.size in
-        let tx_time = float_of_int (8 * size) /. (t.rate_bps -. t.fluid_bps) in
-        (* A residual rate moves with every fluid recompute, so hybrid
-           transmissions are not in time order and stay in the heap. *)
-        if t.fluid_bps = 0. then
-          Engine.lane_schedule ~label:"link-tx" t.engine (tx_lane t size 0)
-            ~delay:tx_time t.tx_done
-        else Engine.schedule ~label:"link-tx" t.engine ~delay:tx_time t.tx_done
+    let pkt = t.qdisc.Queue_disc.take () in
+    if pkt == Pkt_ring.dummy then t.busy <- false
+    else begin
+      t.busy <- true;
+      (* lint: allow pool-lifetime — ownership transfers to the wire head; handed to the fly ring or blackholed at tx_done *)
+      t.txing <- pkt;
+      let size = pkt.Packet.size in
+      let tx_time = float_of_int (8 * size) /. (t.rate_bps -. t.fluid_bps) in
+      (* A residual rate moves with every fluid recompute, so hybrid
+         transmissions are not in time order and stay in the heap. *)
+      if t.fluid_bps = 0. then
+        Engine.lane_schedule ~label:"link-tx" t.engine (tx_lane t size 0)
+          ~delay:tx_time t.tx_done
+      else Engine.schedule ~label:"link-tx" t.engine ~delay:tx_time t.tx_done
+    end
 
 let create engine ~qdisc ~rate_bps ~delay_s ?(counters = Counters.create ())
     ~deliver () =

@@ -61,8 +61,11 @@ let dummy () =
     enq_at = 0.;
   }
 
+(* Sentinels (id < 0: [dummy ()] and the rings' and queues' empty
+   markers) never enter the pool: [make] would hand one out as a live
+   packet, and a queue would then report itself empty while holding it. *)
 let free pkt =
-  if !pool_len < pool_cap then begin
+  if pkt.id >= 0 && !pool_len < pool_cap then begin
     if !pool_len = Array.length !pool then begin
       let ncap = max 64 (min pool_cap (2 * Array.length !pool)) in
       let np = Array.make ncap pkt in
@@ -73,8 +76,8 @@ let free pkt =
     incr pool_len
   end
 
-let make ~flow ~src ~dst ~kind ~size ~seq ?(ack = -1) ?(sack = -1) ?(prio = 0.)
-    ?(tos = 0) ?(ecn_capable = true) ?(ecn_echo = false) ~sent_at () =
+let make_full ~flow ~src ~dst ~kind ~size ~seq ~ack ~sack ~prio ~tos
+    ~ecn_capable ~ecn_echo ~sent_at =
   let id = !next_id in
   incr next_id;
   if !pool_len > 0 then begin
@@ -117,6 +120,11 @@ let make ~flow ~src ~dst ~kind ~size ~seq ?(ack = -1) ?(sack = -1) ?(prio = 0.)
       sent_at;
       enq_at = 0.;
     }
+
+let make ~flow ~src ~dst ~kind ~size ~seq ?(ack = -1) ?(sack = -1) ?(prio = 0.)
+    ?(tos = 0) ?(ecn_capable = true) ?(ecn_echo = false) ~sent_at () =
+  make_full ~flow ~src ~dst ~kind ~size ~seq ~ack ~sack ~prio ~tos ~ecn_capable
+    ~ecn_echo ~sent_at
 
 let kind_str = function
   | Data -> "data"

@@ -67,11 +67,31 @@ val make :
   unit ->
   t
 
+(** [make_full] is {!make} with every field given: the hot senders call it,
+    because each optional argument of {!make} costs an allocation. *)
+val make_full :
+  flow:int ->
+  src:int ->
+  dst:int ->
+  kind:kind ->
+  size:int ->
+  seq:int ->
+  ack:int ->
+  sack:int ->
+  prio:float ->
+  tos:int ->
+  ecn_capable:bool ->
+  ecn_echo:bool ->
+  sent_at:float ->
+  t
+
 (** [free pkt] returns a dead packet to the process-wide free list (see
     {!reset_ids}) for reuse by a later {!make}. Only call once the data
     path is completely done with [pkt] (delivered to its final handler, or
     dropped), and never while the run's trace bus is on — trace sinks may
-    retain packets past delivery. *)
+    retain packets past delivery. A packet with a negative id, such as
+    {!dummy} or a queue's empty marker, is ignored: it never enters the
+    free list, so [make] never returns one. *)
 val free : t -> unit
 
 (** [dummy ()] makes an inert placeholder packet (id -1) without consuming

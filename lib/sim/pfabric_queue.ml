@@ -105,8 +105,8 @@ let create counters ~limit_pkts =
       Queue_disc.count_enqueue loc counters ~qpkts:b.len pkt
     end
   in
-  let dequeue () =
-    if b.len = 0 then None
+  let take () =
+    if b.len = 0 then Pkt_ring.dummy
     else begin
       (* Find the most important packet, then the earliest segment of its
          flow (starvation avoidance keeps per-flow delivery in order). *)
@@ -127,7 +127,7 @@ let create counters ~limit_pkts =
       buf_remove b !pick;
       bytes := !bytes - pkt.Packet.size;
       Queue_disc.count_dequeue loc counters ~qpkts:b.len pkt;
-      Some pkt
+      pkt
     end
   in
   let band_occ () =
@@ -141,7 +141,8 @@ let create counters ~limit_pkts =
   in
   {
     Queue_disc.enqueue;
-    dequeue;
+    take;
+    dequeue = Queue_disc.dequeue_of take;
     pkts = (fun () -> b.len);
     bytes = (fun () -> !bytes);
     bands = band_occ;

@@ -7,6 +7,10 @@
 
 type t
 
+(** The shared inert packet (id -1) that fills empty slots. {!Queue_disc}'s
+    [take] returns it to mean "empty"; it is never queued or sent. *)
+val dummy : Packet.t
+
 val create : unit -> t
 val length : t -> int
 

@@ -55,20 +55,22 @@ let create_with_inspect counters ~bands ~limit_pkts ~mark_threshold =
       Queue_disc.count_enqueue loc counters ~qpkts:!total pkt
     end
   in
-  let dequeue () =
-    let rec scan i =
-      if i >= bands then None
-      else if Pkt_ring.length qs.(i) > 0 then begin
-        let pkt = Pkt_ring.pop qs.(i) in
-        total := !total - 1;
-        bytes := !bytes - pkt.Packet.size;
-        band_bytes.(i) <- band_bytes.(i) - pkt.Packet.size;
-        Queue_disc.count_dequeue loc counters ~qpkts:!total pkt;
-        Some pkt
-      end
-      else scan (i + 1)
-    in
-    if !total = 0 then None else scan 0
+  let take () =
+    if !total = 0 then Pkt_ring.dummy
+    else begin
+      (* Some band is non-empty: find the first. *)
+      let i = ref 0 in
+      while Pkt_ring.length qs.(!i) = 0 do
+        incr i
+      done;
+      let i = !i in
+      let pkt = Pkt_ring.pop qs.(i) in
+      total := !total - 1;
+      bytes := !bytes - pkt.Packet.size;
+      band_bytes.(i) <- band_bytes.(i) - pkt.Packet.size;
+      Queue_disc.count_dequeue loc counters ~qpkts:!total pkt;
+      pkt
+    end
   in
   let band_occ () =
     Array.init bands (fun i -> (Pkt_ring.length qs.(i), band_bytes.(i)))
@@ -76,7 +78,8 @@ let create_with_inspect counters ~bands ~limit_pkts ~mark_threshold =
   let disc =
     {
       Queue_disc.enqueue;
-      dequeue;
+      take;
+      dequeue = Queue_disc.dequeue_of take;
       pkts = (fun () -> !total);
       bytes = (fun () -> !bytes);
       bands = band_occ;

@@ -1,5 +1,6 @@
 type t = {
   enqueue : Packet.t -> unit;
+  take : unit -> Packet.t;
   dequeue : unit -> Packet.t option;
   pkts : unit -> int;
   bytes : unit -> int;
@@ -56,6 +57,10 @@ let count_mark (loc : Trace.loc) (c : Counters.t) ~qpkts (pkt : Packet.t) =
 
 let no_bands () = [||]
 
+let dequeue_of take () =
+  let pkt = take () in
+  if pkt == Pkt_ring.dummy then None else Some pkt
+
 let fifo counters ~limit_pkts ~mark_threshold =
   let q = Pkt_ring.create () in
   let bytes = ref 0 in
@@ -84,18 +89,19 @@ let fifo counters ~limit_pkts ~mark_threshold =
       count_enqueue loc counters ~qpkts:(n + 1) pkt
     end
   in
-  let dequeue () =
-    if Pkt_ring.length q = 0 then None
+  let take () =
+    if Pkt_ring.length q = 0 then Pkt_ring.dummy
     else begin
       let pkt = Pkt_ring.pop q in
       bytes := !bytes - pkt.Packet.size;
       count_dequeue loc counters ~qpkts:(Pkt_ring.length q) pkt;
-      Some pkt
+      pkt
     end
   in
   {
     enqueue;
-    dequeue;
+    take;
+    dequeue = dequeue_of take;
     pkts = (fun () -> Pkt_ring.length q);
     bytes = (fun () -> !bytes);
     bands = no_bands;

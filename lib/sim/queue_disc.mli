@@ -7,7 +7,12 @@
 
 type t = {
   enqueue : Packet.t -> unit;
+  take : unit -> Packet.t;
+      (** removes and returns the next packet to send, or {!Pkt_ring.dummy}
+          (compare with [==]) when the queue is empty: the link's per-hop
+          path, which allocates no option *)
   dequeue : unit -> Packet.t option;
+      (** [take] with [None] for empty; {!dequeue_of} builds it *)
   pkts : unit -> int;  (** packets currently queued *)
   bytes : unit -> int;  (** bytes currently queued *)
   bands : unit -> (int * int) array;
@@ -50,6 +55,10 @@ val count_mark : Trace.loc -> Counters.t -> qpkts:int -> Packet.t -> unit
 
 (** Shared empty [bands] value for unbanded disciplines. *)
 val no_bands : unit -> (int * int) array
+
+(** [dequeue_of take] is the [dequeue] field of a discipline whose [take]
+    is [take]. *)
+val dequeue_of : (unit -> Packet.t) -> unit -> Packet.t option
 
 (** [scaled_threshold k frac] is a mark threshold rescaled to a capacity
     fraction: [max 1 (ceil (k * frac))]. Exactly [k] at [frac = 1.0]. *)

@@ -11,10 +11,10 @@ let cum_ack t = t.cum
 
 let send_reply t ~kind ~seq ~sack ~ecn_echo =
   let pkt =
-    Packet.make ~flow:t.flow.Flow.id ~src:t.flow.Flow.dst ~dst:t.flow.Flow.src
-      ~kind ~size:Packet.ack_bytes ~seq ~ack:t.cum ~sack
+    Packet.make_full ~flow:t.flow.Flow.id ~src:t.flow.Flow.dst
+      ~dst:t.flow.Flow.src ~kind ~size:Packet.ack_bytes ~seq ~ack:t.cum ~sack
       ~prio:t.ack_prio ~tos:t.ack_tos ~ecn_capable:false ~ecn_echo
-      ~sent_at:(Engine.now (Net.engine t.net)) ()
+      ~sent_at:(Engine.now (Net.engine t.net))
   in
   Net.send t.net pkt
 

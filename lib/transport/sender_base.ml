@@ -9,6 +9,17 @@ type conf = {
   ecn_capable : bool;
 }
 
+(* The per-ACK float state. A float-only record is stored flat, so these
+   updates write unboxed floats; as fields of [t], a mixed record, each
+   store would allocate a box. *)
+type cc = {
+  mutable cwnd : float;
+  mutable ssthresh : float;
+  mutable srtt : float;
+  mutable rttvar : float;
+  mutable next_pace_at : float;
+}
+
 type t = {
   net : Net.t;
   engine : Engine.t;
@@ -24,15 +35,12 @@ type t = {
          [seq land (capacity - 1)] (capacity a power of two). A slot is
          valid exactly while its segment is [Inflight]; every such segment
          lies in [cum_ack, next_new), which the capacity covers. *)
-  mutable cwnd : float;
-  mutable ssthresh : float;
+  cc : cc;
   mutable next_new : int;  (* next never-transmitted segment *)
   mutable cum_ack : int;  (* first unacked segment *)
   mutable acked_count : int;
   mutable inflight : int;
   mutable lost : int;  (* segments in [Lost] status, awaiting retransmission *)
-  mutable srtt : float;
-  mutable rttvar : float;
   mutable backoff : int;
   mutable consecutive_timeouts : int;
   mutable dupacks : int;
@@ -41,7 +49,6 @@ type t = {
   mutable rto_timer : Engine.timer option;  (* created on first arm *)
   mutable probe_outstanding : bool;
   mutable pace_scheduled : bool;
-  mutable next_pace_at : float;
   mutable completed : bool;
   on_complete : t -> fct:float -> unit;
 }
@@ -73,17 +80,17 @@ let engine t = t.engine
 let trace t = t.trace
 let flow t = t.flow
 let conf t = t.conf
-let cwnd t = t.cwnd
+let cwnd t = t.cc.cwnd
 
 let set_cwnd t w =
-  t.cwnd <- Float.min t.conf.max_cwnd (Float.max 1. w);
+  t.cc.cwnd <- Float.min t.conf.max_cwnd (Float.max 1. w);
   if Trace.on t.trace then
     Trace.emit t.trace
       (Trace.Cwnd
-         { flow = t.flow.Flow.id; cwnd = t.cwnd; ssthresh = t.ssthresh })
-let ssthresh t = t.ssthresh
-let set_ssthresh t v = t.ssthresh <- Float.max 2. v
-let srtt t = t.srtt
+         { flow = t.flow.Flow.id; cwnd = t.cc.cwnd; ssthresh = t.cc.ssthresh })
+let ssthresh t = t.cc.ssthresh
+let set_ssthresh t v = t.cc.ssthresh <- Float.max 2. v
+let srtt t = t.cc.srtt
 let acked_pkts t = t.acked_count
 let remaining_pkts t = Int.max 0 (t.flow.Flow.size_pkts - t.acked_count)
 let sent_new_pkts t = t.next_new
@@ -92,11 +99,13 @@ let inflight t = t.inflight
 let completed t = t.completed
 let consecutive_timeouts t = t.consecutive_timeouts
 
-let window t = Int.max 1 (int_of_float t.cwnd)
+let window t = Int.max 1 (int_of_float t.cc.cwnd)
 
 let rto_value t =
-  let base = Float.max (t.hooks.base_rto t) (t.srtt +. (4. *. t.rttvar)) in
-  let backed = base *. (2. ** float_of_int t.backoff) in
+  let base =
+    Float.max (t.hooks.base_rto t) (t.cc.srtt +. (4. *. t.cc.rttvar))
+  in
+  let backed = base *. Float.ldexp 1. t.backoff in
   Float.min t.conf.max_rto backed
 
 let cancel_timer t =
@@ -190,24 +199,22 @@ and default_timeout_action t =
     end
   done;
   t.in_recovery <- false;
-  set_ssthresh t (t.cwnd /. 2.);
+  set_ssthresh t (t.cc.cwnd /. 2.);
   set_cwnd t 1.;
   try_send t
 
 and next_to_send t =
-  (* Lost segments (retransmissions) take precedence over new data. Every
-     [Lost] segment lies in [cum_ack, next_new); skip the scan when there
-     is none. *)
-  let rec scan s =
-    if s >= t.next_new then None
-    else if Seg_store.get t.status s = Seg_store.Lost then Some (s, true)
-    else scan (s + 1)
-  in
-  match if t.lost = 0 then None else scan t.cum_ack with
-  | Some _ as r -> r
-  | None ->
-      if t.next_new < t.flow.Flow.size_pkts then Some (t.next_new, false)
-      else None
+  (* The segment to send next, or -1 for none. Lost segments
+     (retransmissions) take precedence over new data. Every [Lost] segment
+     lies in [cum_ack, next_new), so the result is a retransmission exactly
+     when it is below [next_new]; skip the scan when there is none. *)
+  let s = ref (if t.lost = 0 then t.next_new else t.cum_ack) in
+  while !s < t.next_new && Seg_store.get t.status !s <> Seg_store.Lost do
+    incr s
+  done;
+  if !s < t.next_new then !s
+  else if t.next_new < t.flow.Flow.size_pkts then t.next_new
+  else -1
 
 and send_segment t seq ~retx =
   if not retx then t.next_new <- Int.max t.next_new (seq + 1);
@@ -218,10 +225,12 @@ and send_segment t seq ~retx =
     Delay.on_send t.delay ~flow:t.flow.Flow.id ~now:(Engine.now t.engine);
   record_send t seq ~retx;
   let pkt =
-    Packet.make ~flow:t.flow.Flow.id ~src:t.flow.Flow.src ~dst:t.flow.Flow.dst
-      ~kind:Packet.Data
+    Packet.make_full ~flow:t.flow.Flow.id ~src:t.flow.Flow.src
+      ~dst:t.flow.Flow.dst ~kind:Packet.Data
       ~size:(t.conf.mss + Packet.header_bytes)
-      ~seq ~ecn_capable:t.conf.ecn_capable ~sent_at:(Engine.now t.engine) ()
+      ~seq ~ack:(-1) ~sack:(-1) ~prio:0. ~tos:0
+      ~ecn_capable:t.conf.ecn_capable ~ecn_echo:false
+      ~sent_at:(Engine.now t.engine)
   in
   t.hooks.stamp t pkt;
   Net.send t.net pkt;
@@ -234,10 +243,11 @@ and try_send t =
     | None ->
         let continue = ref true in
         while !continue do
-          if t.inflight < window t && t.hooks.allow_send t then
-            match next_to_send t with
-            | Some (seq, retx) -> send_segment t seq ~retx
-            | None -> continue := false
+          if t.inflight < window t && t.hooks.allow_send t then begin
+            let seq = next_to_send t in
+            if seq >= 0 then send_segment t seq ~retx:(seq < t.next_new)
+            else continue := false
+          end
           else continue := false
         done
     | Some rate -> if rate > 0. then schedule_pace t rate
@@ -245,7 +255,7 @@ and try_send t =
 and schedule_pace t _rate =
   if (not t.pace_scheduled) && not t.completed then begin
     let now = Engine.now t.engine in
-    let at = Float.max now t.next_pace_at in
+    let at = Float.max now t.cc.next_pace_at in
     t.pace_scheduled <- true;
     Engine.schedule_at ~label:"pace" t.engine ~time:at (fun () ->
         t.pace_scheduled <- false;
@@ -253,19 +263,19 @@ and schedule_pace t _rate =
           (match t.hooks.pacing_rate t with
           | Some rate when rate > 0. ->
               if t.inflight < window t && t.hooks.allow_send t then begin
-                match next_to_send t with
-                | Some (seq, retx) ->
-                    send_segment t seq ~retx;
-                    t.next_pace_at <-
-                      Engine.now t.engine
-                      +. (float_of_int (8 * (t.conf.mss + Packet.header_bytes))
-                         /. rate);
-                    schedule_pace t rate
-                | None -> ()
+                let seq = next_to_send t in
+                if seq >= 0 then begin
+                  send_segment t seq ~retx:(seq < t.next_new);
+                  t.cc.next_pace_at <-
+                    Engine.now t.engine
+                    +. (float_of_int (8 * (t.conf.mss + Packet.header_bytes))
+                       /. rate);
+                  schedule_pace t rate
+                end
               end
               else begin
                 (* Window-blocked: retry after the current pacing gap. *)
-                t.next_pace_at <-
+                t.cc.next_pace_at <-
                   Engine.now t.engine
                   +. (float_of_int (8 * (t.conf.mss + Packet.header_bytes)) /. rate);
                 schedule_pace t rate
@@ -278,9 +288,10 @@ let send_probe t =
   if (not t.probe_outstanding) && not t.completed then begin
     t.probe_outstanding <- true;
     let pkt =
-      Packet.make ~flow:t.flow.Flow.id ~src:t.flow.Flow.src
+      Packet.make_full ~flow:t.flow.Flow.id ~src:t.flow.Flow.src
         ~dst:t.flow.Flow.dst ~kind:Packet.Probe ~size:Packet.probe_bytes
-        ~seq:t.cum_ack ~ecn_capable:false ~sent_at:(Engine.now t.engine) ()
+        ~seq:t.cum_ack ~ack:(-1) ~sack:(-1) ~prio:0. ~tos:0 ~ecn_capable:false
+        ~ecn_echo:false ~sent_at:(Engine.now t.engine)
     in
     t.hooks.stamp t pkt;
     Net.send t.net pkt
@@ -307,15 +318,16 @@ let cancel t =
   Net.unregister_flow t.net ~host:t.flow.Flow.src ~flow:t.flow.Flow.id
 
 let update_rtt t sample =
-  if t.srtt <= 0. then begin
-    t.srtt <- sample;
-    t.rttvar <- sample /. 2.
+  if t.cc.srtt <= 0. then begin
+    t.cc.srtt <- sample;
+    t.cc.rttvar <- sample /. 2.
   end
   else begin
     let alpha = 0.125 and beta = 0.25 in
-    t.rttvar <-
-      ((1. -. beta) *. t.rttvar) +. (beta *. Float.abs (t.srtt -. sample));
-    t.srtt <- ((1. -. alpha) *. t.srtt) +. (alpha *. sample)
+    t.cc.rttvar <-
+      ((1. -. beta) *. t.cc.rttvar)
+      +. (beta *. Float.abs (t.cc.srtt -. sample));
+    t.cc.srtt <- ((1. -. alpha) *. t.cc.srtt) +. (alpha *. sample)
   end
 
 let mark_acked t seq newly =
@@ -437,15 +449,19 @@ let create net ~flow ~conf ?(hooks = default_hooks) ~on_complete () =
     status = Seg_store.create ();
     sent_at = Array.make 16 0.;
     sent_retx = Bytes.make 16 '\000';
-    cwnd = Float.min conf.max_cwnd (Float.max 1. conf.init_cwnd);
-    ssthresh = conf.init_ssthresh;
+    cc =
+      {
+        cwnd = Float.min conf.max_cwnd (Float.max 1. conf.init_cwnd);
+        ssthresh = conf.init_ssthresh;
+        srtt = conf.init_rtt;
+        rttvar = conf.init_rtt /. 2.;
+        next_pace_at = 0.;
+      };
     next_new = 0;
     cum_ack = 0;
     acked_count = 0;
     inflight = 0;
     lost = 0;
-    srtt = conf.init_rtt;
-    rttvar = conf.init_rtt /. 2.;
     backoff = 0;
     consecutive_timeouts = 0;
     dupacks = 0;
@@ -454,7 +470,6 @@ let create net ~flow ~conf ?(hooks = default_hooks) ~on_complete () =
     rto_timer = None;
     probe_outstanding = false;
     pace_scheduled = false;
-    next_pace_at = 0.;
     completed = false;
     on_complete;
   }

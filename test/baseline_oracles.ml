@@ -253,6 +253,7 @@ module Pfabric_queue = struct
     in
     {
       Queue_disc.enqueue;
+      take = (fun () -> Option.value (dequeue ()) ~default:Pkt_ring.dummy);
       dequeue;
       pkts = (fun () -> b.len);
       bytes = (fun () -> !bytes);

@@ -143,10 +143,11 @@ let test_compact_releases_values () =
   Alcotest.(check int) "survivors" 10 (Eheap.size (Sys.opaque_identity h))
 
 let test_compact_shrinks_capacity () =
-  (* A long run's high-water mark must not pin RSS: once compaction leaves
-     occupancy far below capacity, the SoA backing arrays shrink (to 2x
-     live, floored at the initial 64), and the heap keeps working — grows
-     again, drains in order — after the swap. *)
+  (* A long run's high-water mark must not pin RSS: once a whole cycle
+     between compactions peaks far below capacity, the SoA backing arrays
+     shrink (to 2x that peak, floored at the initial 64), and the heap
+     keeps working — grows again, drains in order — after the swap. The
+     compaction that ends a burst keeps the arrays the burst needed. *)
   let h = Eheap.create ~dummy:(-1) () in
   let n = 10_000 in
   for i = 0 to n - 1 do
@@ -156,16 +157,21 @@ let test_compact_shrinks_capacity () =
   Alcotest.(check bool) "capacity grew past 10k" true (peak >= n);
   Eheap.compact h ~keep:(fun ~seq _ -> seq < 10);
   Alcotest.(check int) "10 survive" 10 (Eheap.size h);
+  Alcotest.(check int) "the burst's cycle keeps its arrays" peak
+    (Eheap.capacity h);
+  Eheap.compact h ~keep:(fun ~seq:_ _ -> true);
   Alcotest.(check int) "capacity shrank to the floor" 64 (Eheap.capacity h);
-  (* A modest survivor set above the floor shrinks to 2x live instead. *)
+  (* A modest cycle above the floor shrinks to 2x its peak instead. *)
   let h2 = Eheap.create ~dummy:(-1) () in
   for i = 0 to n - 1 do
     Eheap.add h2 ~time:(float_of_int i) ~seq:i i
   done;
   Eheap.compact h2 ~keep:(fun ~seq _ -> seq < 100);
-  Alcotest.(check int) "capacity = 2x live" 200 (Eheap.capacity h2);
-  (* No shrink while occupancy stays above a quarter of capacity: dropping
-     almost nothing must not reallocate (compact runs on hot paths). *)
+  Eheap.compact h2 ~keep:(fun ~seq:_ _ -> true);
+  Alcotest.(check int) "capacity = 2x the cycle's peak" 200 (Eheap.capacity h2);
+  (* No shrink while the cycle's peak stays above a quarter of capacity:
+     dropping almost nothing must not reallocate (compact runs on hot
+     paths). *)
   let h3 = Eheap.create ~dummy:(-1) () in
   for i = 0 to n - 1 do
     Eheap.add h3 ~time:(float_of_int i) ~seq:i i
@@ -173,6 +179,25 @@ let test_compact_shrinks_capacity () =
   let cap3 = Eheap.capacity h3 in
   Eheap.compact h3 ~keep:(fun ~seq _ -> seq > 0);
   Alcotest.(check int) "dense heap keeps its arrays" cap3 (Eheap.capacity h3);
+  (* A heap that refills to the same size between compactions keeps its
+     arrays: no shrink-and-regrow cycle. *)
+  let h4 = Eheap.create ~dummy:(-1) () in
+  let seq = ref 0 in
+  let fill () =
+    while Eheap.size h4 < 1000 do
+      Eheap.add h4 ~time:(float_of_int !seq) ~seq:!seq !seq;
+      incr seq
+    done
+  in
+  fill ();
+  let cap4 = Eheap.capacity h4 in
+  for _ = 1 to 5 do
+    let floor = !seq - 10 in
+    Eheap.compact h4 ~keep:(fun ~seq _ -> seq >= floor);
+    Alcotest.(check int) "refilling heap keeps its arrays" cap4
+      (Eheap.capacity h4);
+    fill ()
+  done;
   (* The shrunk heap still orders correctly and regrows. *)
   for i = n to n + 499 do
     Eheap.add h ~time:(float_of_int ((i * 53) mod 997)) ~seq:i i
@@ -212,84 +237,135 @@ let prop_fifo_on_equal_keys =
       in
       drain [] = List.init n Fun.id)
 
-(* Model-based check: drive an interleaving of add / pop / compact against a
-   naive sorted association list keyed by (time, seq). The heap must pop
-   exactly what the model pops, at every step. Times are drawn from a tiny
-   set to force FIFO tie-breaks constantly. *)
-let matches_model ops =
+(* Model-based check: drive a program of adds, pops, compactions and
+   clears against a naive sorted [(time, seq)] list. Times come from a tiny
+   set, to force FIFO tie-breaks constantly. Bursts push the heap across
+   its growth thresholds (64, 128, ...) and [Keep_newest] empties it far
+   below capacity, so the next compaction shrinks the arrays; [Clear] keeps
+   them. After every operation the size, the minimum key and the
+   dummy-filled slots must match the model, and every pop must return the
+   model's minimum. *)
+type heap_op =
+  | Add of float
+  | Burst of int
+  | Pop of int
+  | Keep_mod of int * int
+  | Keep_newest of int
+  | Keep_oldest of int
+  | Clear
+
+let show_heap_op = function
+  | Add t -> Printf.sprintf "Add %g" t
+  | Burst n -> Printf.sprintf "Burst %d" n
+  | Pop n -> Printf.sprintf "Pop %d" n
+  | Keep_mod (m, r) -> Printf.sprintf "Keep_mod (%d, %d)" m r
+  | Keep_newest n -> Printf.sprintf "Keep_newest %d" n
+  | Keep_oldest n -> Printf.sprintf "Keep_oldest %d" n
+  | Clear -> "Clear"
+
+let heap_op_gen =
+  let open QCheck.Gen in
+  let time = map (fun k -> float_of_int k *. 0.5) (int_bound 6) in
+  frequency
+    [
+      (4, map (fun t -> Add t) time);
+      (2, map (fun n -> Burst n) (int_range 1 300));
+      (3, map (fun n -> Pop n) (int_range 1 80));
+      (2, map2 (fun m r -> Keep_mod (m, r)) (int_range 2 4) (int_bound 3));
+      (2, map (fun n -> Keep_newest n) (int_bound 20));
+      (1, map (fun n -> Keep_oldest n) (int_bound 40));
+      (1, return Clear);
+    ]
+
+let matches_model prog =
   let h = Eheap.create ~dummy:(-1) () in
-  let model = ref [] (* sorted [(time, seq, value)] *) in
-  let seq = ref 0 in
-  let insert (t, s, v) l =
-    let rec go = function
-      | [] -> [ (t, s, v) ]
-      | ((t', s', _) as hd) :: tl ->
-          if t < t' || (t = t' && s < s') then (t, s, v) :: hd :: tl
-          else hd :: go tl
+  let model = ref [] (* sorted [(time, seq)]; the value is the seq *) in
+  let next = ref 0 in
+  let key_order (t, s) (t', s') =
+    match Float.compare t t' with 0 -> Int.compare s s' | c -> c
+  in
+  let add times =
+    let added =
+      List.map
+        (fun time ->
+          let s = !next in
+          incr next;
+          Eheap.add h ~time ~seq:s s;
+          (time, s))
+        times
     in
-    go l
+    model := List.merge key_order !model (List.sort key_order added)
   in
   let compact keep =
-    Eheap.compact h ~keep;
-    model := List.filter (fun (_, s, v) -> keep ~seq:s v) !model;
+    Eheap.compact h ~keep:(fun ~seq v -> v = seq && keep seq);
+    model := List.filter (fun (_, s) -> keep s) !model
+  in
+  let agrees () =
     Eheap.size h = List.length !model
+    && Eheap.held h = Eheap.size h
+    &&
+    match !model with
+    | [] -> Eheap.is_empty h && Eheap.peek_time h = None
+    | (t, s) :: _ -> Eheap.min_time h = t && Eheap.min_seq h = s
   in
   List.for_all
-    (fun o ->
-      match o with
-      | `Add time ->
-          let s = !seq in
-          incr seq;
-          Eheap.add h ~time ~seq:s s;
-          model := insert (time, s, s) !model;
-          true
-      | `Pop -> (
-          match (Eheap.pop h, !model) with
-          | None, [] -> true
-          | Some (t, v), (t', s', v') :: tl ->
-              model := tl;
-              t = t' && v = v' && Eheap.size h = List.length tl && s' = v'
-          | Some _, [] | None, _ :: _ -> false)
-      | `Compact k ->
-          (* Keep a pseudo-random but deterministic subset. *)
-          compact (fun ~seq _ -> (seq * 7) mod 4 <> k)
-      | `Keep_below m -> compact (fun ~seq _ -> seq < m))
-    ops
-  &&
-  let rec drain acc =
-    match Eheap.pop h with
-    | Some (t, v) -> drain ((t, v) :: acc)
-    | None -> List.rev acc
-  in
-  drain [] = List.map (fun (t, _, v) -> (t, v)) !model
+    (fun op ->
+      let popped_ok =
+        match op with
+        | Add t ->
+            add [ t ];
+            true
+        | Burst n ->
+            add (List.init n (fun k -> float_of_int ((k * 7) mod 13) *. 0.25));
+            true
+        | Pop n ->
+            let rec pops k =
+              k = 0
+              ||
+              match !model with
+              | [] -> Eheap.is_empty h
+              | (_, s) :: tl ->
+                  model := tl;
+                  Eheap.pop_min h = s && pops (k - 1)
+            in
+            pops n
+        | Keep_mod (m, r) ->
+            compact (fun s -> s mod m <> r);
+            true
+        | Keep_newest n ->
+            let floor = !next - n in
+            compact (fun s -> s >= floor);
+            true
+        | Keep_oldest n ->
+            compact (fun s -> s < n);
+            true
+        | Clear ->
+            Eheap.clear h;
+            model := [];
+            true
+      in
+      popped_ok && agrees ())
+    prog
 
-let prop_model_interleaved =
-  let op =
-    QCheck.(
-      oneof
-        [
-          map (fun t -> `Add (float_of_int t)) (int_bound 5);
-          always `Pop;
-          map (fun k -> `Compact k) (int_bound 3);
-          map (fun m -> `Keep_below m) (int_bound 40);
-        ])
-  in
-  QCheck.Test.make ~name:"Eheap matches a sorted-list model under add/pop/compact"
+let prop_model =
+  QCheck.Test.make
+    ~name:"Eheap matches a sorted-list model across grow, shrink and clear"
     ~count:200
-    QCheck.(list_of_size (Gen.int_range 0 120) op)
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_heap_op ops))
+       QCheck.Gen.(list_size (int_range 0 60) heap_op_gen))
     matches_model
 
 (* The small heaps where a 4-ary heapify has no internal node or only the
    root: every size 0-9, each drained, compacted by the modular rule, and
    compacted down to 0 or 1 survivors, then reused. *)
 let test_model_small_heaps () =
-  let adds n = List.init n (fun i -> `Add (float_of_int ((i * 3) mod 5))) in
-  let pops n = List.init n (fun _ -> `Pop) in
+  let adds n = List.init n (fun i -> Add (float_of_int ((i * 3) mod 5))) in
   for n = 0 to 9 do
     let inputs =
-      [ adds n @ pops (n + 1); adds n @ [ `Compact 1 ] @ pops n ]
+      [ adds n @ [ Pop (n + 1) ]; adds n @ [ Keep_mod (4, 3); Pop n ] ]
       @ List.map
-          (fun m -> adds n @ [ `Keep_below m ] @ adds 3 @ pops 2)
+          (fun m -> adds n @ [ Keep_oldest m ] @ adds 3 @ [ Pop 2 ])
           [ 0; 1 ]
     in
     List.iteri
@@ -317,6 +393,6 @@ let suite =
       test_compact_shrinks_capacity;
     Qseed.to_alcotest prop_heap_sorts;
     Qseed.to_alcotest prop_fifo_on_equal_keys;
-    Qseed.to_alcotest prop_model_interleaved;
+    Qseed.to_alcotest prop_model;
     Alcotest.test_case "model on small heaps" `Quick test_model_small_heaps;
   ]

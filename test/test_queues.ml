@@ -227,6 +227,58 @@ let prop_prio_strict =
       let order = drain [] in
       order = List.sort compare toses)
 
+(* [take] marks an empty queue with the shared [Pkt_ring.dummy], and
+   [dequeue] turns that into [None], on every discipline. *)
+let test_take_empty () =
+  let c = Counters.create () in
+  let discs =
+    [
+      ("droptail", Queue_disc.droptail c ~limit_pkts:4);
+      ("red", Queue_disc.red_ecn c ~limit_pkts:4 ~mark_threshold:2);
+      ("prio", Prio_queue.create c ~bands:3 ~limit_pkts:4 ~mark_threshold:2);
+      ("pfabric", Pfabric_queue.create c ~limit_pkts:4);
+    ]
+  in
+  List.iter
+    (fun (name, q) ->
+      Alcotest.(check bool) (name ^ ": empty take") true
+        (q.Queue_disc.take () == Pkt_ring.dummy);
+      let p = mk ~tos:2 () in
+      q.Queue_disc.enqueue p;
+      Alcotest.(check bool) (name ^ ": take returns the packet") true
+        (q.Queue_disc.take () == p);
+      Alcotest.(check bool) (name ^ ": drained take") true
+        (q.Queue_disc.take () == Pkt_ring.dummy);
+      Alcotest.(check bool) (name ^ ": drained dequeue") true
+        (q.Queue_disc.dequeue () = None))
+    discs
+
+(* A sentinel in the packet pool would come back from [make] as a live
+   packet, and a queue holding it would report itself empty ([take]
+   returns the sentinel), stalling its link. [Packet.free] must ignore
+   them: the rings' shared dummy, and the [Packet.dummy ()] values that
+   [Link] (its idle wire head) and [Pfabric_queue] (its dead buffer slots)
+   keep. *)
+let test_sentinels_never_pooled () =
+  Packet.reset_ids ();
+  let sentinels = [ Pkt_ring.dummy; Packet.dummy (); Packet.dummy () ] in
+  List.iter Packet.free sentinels;
+  let dead = mk ~seq:7 () in
+  Packet.free dead;
+  List.iter Packet.free sentinels;
+  let made = List.init 8 (fun i -> mk ~seq:i ()) in
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) "live id" true (p.Packet.id >= 0);
+      Alcotest.(check bool) "not a sentinel" false
+        (List.exists (fun s -> s == p) sentinels))
+    made;
+  Alcotest.(check bool) "the dead packet is reused" true
+    (List.exists (fun p -> p == dead) made);
+  List.iter
+    (fun s -> Alcotest.(check int) "sentinel untouched" (-1) s.Packet.id)
+    sentinels
+
 let suite =
   [
     Alcotest.test_case "droptail FIFO" `Quick test_droptail_fifo;
@@ -245,6 +297,9 @@ let suite =
     Alcotest.test_case "pfabric drop arrival if worst" `Quick test_pfabric_drop_arrival_if_worst;
     Alcotest.test_case "pfabric ties follow buffer order" `Quick
       test_pfabric_ties_follow_buffer_order;
+    Alcotest.test_case "take marks empty with the dummy" `Quick test_take_empty;
+    Alcotest.test_case "sentinels never pooled" `Quick
+      test_sentinels_never_pooled;
     Qseed.to_alcotest prop_droptail_conservation;
     Qseed.to_alcotest prop_prio_conservation;
     Qseed.to_alcotest prop_pfabric_conservation;
