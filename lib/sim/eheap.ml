@@ -202,11 +202,6 @@ let clear t =
   done;
   t.len <- 0
 
-let held t =
-  let n = ref 0 in
-  Array.iter (fun v -> if v != t.dummy then incr n) t.vals;
-  !n
-
 let size t = t.len
 let is_empty t = t.len = 0
 let capacity t = Array.length t.times

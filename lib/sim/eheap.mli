@@ -57,11 +57,6 @@ val clear : 'a t -> unit
 
 val size : 'a t -> int
 
-(** [held t] is the number of value slots that do not hold [dummy]. Every
-    slot a popped, compacted or cleared value leaves holds [dummy] again,
-    so this equals {!size} when no live value is [dummy] itself. O(capacity);
-    for tests. *)
-val held : 'a t -> int
 val is_empty : 'a t -> bool
 
 (** Current backing-array capacity in entries (all the SoA arrays share

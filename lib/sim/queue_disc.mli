@@ -1,7 +1,7 @@
 (** Queue disciplines attached to link transmit sides.
 
     A discipline owns admission (it may drop on [enqueue]) and scheduling
-    (the order [dequeue] returns packets). Drops and ECN marks are recorded
+    (the order [take] returns packets). Drops and ECN marks are recorded
     in the supplied {!Counters.t} and, when tracing is live, emitted on the
     {!Trace} bus tagged with the discipline's {!loc}. *)
 
@@ -12,7 +12,9 @@ type t = {
           (compare with [==]) when the queue is empty: the link's per-hop
           path, which allocates no option *)
   dequeue : unit -> Packet.t option;
-      (** [take] with [None] for empty; {!dequeue_of} builds it *)
+      (** [take] with [None] for empty. Every discipline builds it with
+          {!dequeue_of}, so the two cannot disagree; it stays only for
+          callers outside the simulator that match on an option *)
   pkts : unit -> int;  (** packets currently queued *)
   bytes : unit -> int;  (** bytes currently queued *)
   bands : unit -> (int * int) array;

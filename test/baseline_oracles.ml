@@ -214,8 +214,8 @@ module Pfabric_queue = struct
         Queue_disc.count_enqueue loc counters ~qpkts:b.len pkt
       end
     in
-    let dequeue () =
-      if b.len = 0 then None
+    let take () =
+      if b.len = 0 then Pkt_ring.dummy
       else begin
         (* Find the most important packet, then the earliest segment of its
            flow (starvation avoidance keeps per-flow delivery in order). *)
@@ -238,7 +238,7 @@ module Pfabric_queue = struct
         buf_remove b !pick;
         bytes := !bytes - pkt.Packet.size;
         Queue_disc.count_dequeue loc counters ~qpkts:b.len pkt;
-        Some pkt
+        pkt
       end
     in
     let band_occ () =
@@ -253,8 +253,8 @@ module Pfabric_queue = struct
     in
     {
       Queue_disc.enqueue;
-      take = (fun () -> Option.value (dequeue ()) ~default:Pkt_ring.dummy);
-      dequeue;
+      take;
+      dequeue = Queue_disc.dequeue_of take;
       pkts = (fun () -> b.len);
       bytes = (fun () -> !bytes);
       bands = band_occ;

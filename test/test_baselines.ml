@@ -216,11 +216,12 @@ let side make =
   { c; q = make c; ring; out = [] }
 
 let dequeue s =
-  match s.q.Queue_disc.dequeue () with
-  | Some p ->
-      s.out <- p.Packet.ack :: s.out;
-      true
-  | None -> false
+  let p = s.q.Queue_disc.take () in
+  if p == Pkt_ring.dummy then false
+  else begin
+    s.out <- p.Packet.ack :: s.out;
+    true
+  end
 
 let observed s =
   let c = s.c and q = s.q in

@@ -241,10 +241,12 @@ let prop_fifo_on_equal_keys =
    clears against a naive sorted [(time, seq)] list. Times come from a tiny
    set, to force FIFO tie-breaks constantly. Bursts push the heap across
    its growth thresholds (64, 128, ...) and [Keep_newest] empties it far
-   below capacity, so the next compaction shrinks the arrays; [Clear] keeps
-   them. After every operation the size, the minimum key and the
-   dummy-filled slots must match the model, and every pop must return the
-   model's minimum. *)
+   below capacity, so a later compaction shrinks the arrays; [Clear] keeps
+   them. After every operation the size and the minimum key must match
+   the model, and every pop must remove the model's minimum. At the end
+   the heap must hold exactly the model's values — every value it popped,
+   compacted away or cleared is collectable, so its slot holds [dummy]
+   again — and drain as the model's [(time, seq)] list. *)
 type heap_op =
   | Add of float
   | Burst of int
@@ -278,8 +280,10 @@ let heap_op_gen =
     ]
 
 let matches_model prog =
-  let h = Eheap.create ~dummy:(-1) () in
-  let model = ref [] (* sorted [(time, seq)]; the value is the seq *) in
+  (* Each value is a fresh box holding its seq, watched by a weak pointer. *)
+  let h = Eheap.create ~dummy:(ref (-1)) () in
+  let model = ref [] (* sorted [(time, seq)] *) in
+  let watched = ref [] (* [(seq, weak pointer to its value)] *) in
   let next = ref 0 in
   let key_order (t, s) (t', s') =
     match Float.compare t t' with 0 -> Int.compare s s' | c -> c
@@ -290,62 +294,84 @@ let matches_model prog =
         (fun time ->
           let s = !next in
           incr next;
-          Eheap.add h ~time ~seq:s s;
+          let v = ref s in
+          let w = Weak.create 1 in
+          Weak.set w 0 (Some v);
+          watched := (s, w) :: !watched;
+          Eheap.add h ~time ~seq:s v;
           (time, s))
         times
     in
     model := List.merge key_order !model (List.sort key_order added)
   in
   let compact keep =
-    Eheap.compact h ~keep:(fun ~seq v -> v = seq && keep seq);
+    Eheap.compact h ~keep:(fun ~seq v -> !v = seq && keep seq);
     model := List.filter (fun (_, s) -> keep s) !model
   in
   let agrees () =
     Eheap.size h = List.length !model
-    && Eheap.held h = Eheap.size h
     &&
     match !model with
     | [] -> Eheap.is_empty h && Eheap.peek_time h = None
     | (t, s) :: _ -> Eheap.min_time h = t && Eheap.min_seq h = s
   in
-  List.for_all
-    (fun op ->
-      let popped_ok =
-        match op with
-        | Add t ->
-            add [ t ];
-            true
-        | Burst n ->
-            add (List.init n (fun k -> float_of_int ((k * 7) mod 13) *. 0.25));
-            true
-        | Pop n ->
-            let rec pops k =
-              k = 0
-              ||
-              match !model with
-              | [] -> Eheap.is_empty h
-              | (_, s) :: tl ->
-                  model := tl;
-                  Eheap.pop_min h = s && pops (k - 1)
-            in
-            pops n
-        | Keep_mod (m, r) ->
-            compact (fun s -> s mod m <> r);
-            true
-        | Keep_newest n ->
-            let floor = !next - n in
-            compact (fun s -> s >= floor);
-            true
-        | Keep_oldest n ->
-            compact (fun s -> s < n);
-            true
-        | Clear ->
-            Eheap.clear h;
-            model := [];
-            true
-      in
-      popped_ok && agrees ())
-    prog
+  let steps_ok =
+    List.for_all
+      (fun op ->
+        let popped_ok =
+          match op with
+          | Add t ->
+              add [ t ];
+              true
+          | Burst n ->
+              add
+                (List.init n (fun k -> float_of_int ((k * 7) mod 13) *. 0.25));
+              true
+          | Pop n ->
+              let rec pops k =
+                k = 0
+                ||
+                match !model with
+                | [] -> Eheap.is_empty h
+                | (t, s) :: tl ->
+                    model := tl;
+                    Eheap.min_time h = t
+                    && Eheap.min_seq h = s
+                    && !(Eheap.pop_min h) = s
+                    && pops (k - 1)
+              in
+              pops n
+          | Keep_mod (m, r) ->
+              compact (fun s -> s mod m <> r);
+              true
+          | Keep_newest n ->
+              let floor = !next - n in
+              compact (fun s -> s >= floor);
+              true
+          | Keep_oldest n ->
+              compact (fun s -> s < n);
+              true
+          | Clear ->
+              Eheap.clear h;
+              model := [];
+              true
+        in
+        popped_ok && agrees ())
+      prog
+  in
+  (* Only the model's values are still reachable. *)
+  let released () =
+    Gc.full_major ();
+    let live = Array.make !next false in
+    List.iter (fun (_, s) -> live.(s) <- true) !model;
+    List.for_all (fun (s, w) -> Weak.check w 0 = live.(s)) !watched
+  in
+  let rec drain acc =
+    match Eheap.pop h with
+    | Some (t, v) -> drain ((t, !v) :: acc)
+    | None -> List.rev acc
+  in
+  steps_ok && released () && drain [] = !model
 
 let prop_model =
   QCheck.Test.make

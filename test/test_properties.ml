@@ -53,13 +53,13 @@ let prop_prio_band_fifo =
       let last_seq = Array.make 4 (-1) in
       let ok = ref true in
       let rec drain () =
-        match q.Queue_disc.dequeue () with
-        | None -> ()
-        | Some p ->
-            let band = p.Packet.tos in
-            if p.Packet.seq < last_seq.(band) then ok := false;
-            last_seq.(band) <- p.Packet.seq;
-            drain ()
+        let p = q.Queue_disc.take () in
+        if p != Pkt_ring.dummy then begin
+          let band = p.Packet.tos in
+          if p.Packet.seq < last_seq.(band) then ok := false;
+          last_seq.(band) <- p.Packet.seq;
+          drain ()
+        end
       in
       drain ();
       !ok)
@@ -112,11 +112,12 @@ let prop_pfabric_oracle =
       in
       let ok = ref true in
       let rec drain () =
-        match (q.Queue_disc.dequeue (), oracle_pop ()) with
-        | None, None -> ()
-        | Some a, Some b ->
-            if a.Packet.id <> b.Packet.id then ok := false else drain ()
-        | _ -> ok := false
+        let a = q.Queue_disc.take () in
+        match oracle_pop () with
+        | None -> if a != Pkt_ring.dummy then ok := false
+        | Some b ->
+            if a == Pkt_ring.dummy || a.Packet.id <> b.Packet.id then ok := false
+            else drain ()
       in
       drain ();
       !ok)

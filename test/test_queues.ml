@@ -6,6 +6,12 @@ let mk ?(flow = 0) ?(seq = 0) ?(size = 1500) ?(prio = 0.) ?(tos = 0)
   Packet.make ~flow ~src:0 ~dst:1 ~kind ~size ~seq ~prio ~tos ~ecn_capable
     ~sent_at:0. ()
 
+(* The tests drain queues through [take], the link's path; [dequeue] is
+   only checked as its wrapper in [test_take_empty]. *)
+let next q =
+  let p = q.Queue_disc.take () in
+  if p == Pkt_ring.dummy then Alcotest.fail "queue empty early" else p
+
 let test_droptail_fifo () =
   let c = Counters.create () in
   let q = Queue_disc.droptail c ~limit_pkts:10 in
@@ -13,11 +19,9 @@ let test_droptail_fifo () =
     q.Queue_disc.enqueue (mk ~seq:i ())
   done;
   for i = 0 to 4 do
-    match q.Queue_disc.dequeue () with
-    | Some p -> Alcotest.(check int) "FIFO order" i p.Packet.seq
-    | None -> Alcotest.fail "queue empty early"
+    Alcotest.(check int) "FIFO order" i (next q).Packet.seq
   done;
-  Alcotest.(check bool) "drained" true (q.Queue_disc.dequeue () = None)
+  Alcotest.(check bool) "drained" true (q.Queue_disc.take () == Pkt_ring.dummy)
 
 let test_droptail_limit () =
   let c = Counters.create () in
@@ -35,7 +39,7 @@ let test_droptail_bytes () =
   q.Queue_disc.enqueue (mk ~size:100 ());
   q.Queue_disc.enqueue (mk ~size:200 ());
   Alcotest.(check int) "bytes" 300 (q.Queue_disc.bytes ());
-  ignore (q.Queue_disc.dequeue ());
+  ignore (next q);
   Alcotest.(check int) "bytes after dequeue" 200 (q.Queue_disc.bytes ())
 
 let test_red_marks_above_threshold () =
@@ -67,7 +71,7 @@ let test_prio_strictness () =
   q.Queue_disc.enqueue (mk ~seq:3 ~tos:2 ());
   q.Queue_disc.enqueue (mk ~seq:4 ~tos:0 ());
   let order =
-    List.init 5 (fun _ -> (Option.get (q.Queue_disc.dequeue ())).Packet.seq)
+    List.init 5 (fun _ -> (next q).Packet.seq)
   in
   (* Band 0 first (FIFO within band), then bands 1, 2, 3. *)
   Alcotest.(check (list int)) "strict priority" [ 2; 4; 1; 3; 0 ] order
@@ -78,7 +82,7 @@ let test_prio_tos_clamped () =
   q.Queue_disc.enqueue (mk ~seq:0 ~tos:7 ());
   (* tos 7 with 2 bands goes to band 1, still deliverable. *)
   Alcotest.(check int) "delivered" 0
-    (Option.get (q.Queue_disc.dequeue ())).Packet.seq
+    (next q).Packet.seq
 
 let test_prio_pushout () =
   let c = Counters.create () in
@@ -92,7 +96,7 @@ let test_prio_pushout () =
   Alcotest.(check int) "still 4 queued" 4 (q.Queue_disc.pkts ());
   Alcotest.(check int) "one drop" 1 c.Counters.dropped_pkts;
   Alcotest.(check int) "high prio delivered first" 100
-    (Option.get (q.Queue_disc.dequeue ())).Packet.seq
+    (next q).Packet.seq
 
 let test_prio_full_of_high_drops_low () =
   let c = Counters.create () in
@@ -127,7 +131,7 @@ let test_pfabric_priority_dequeue () =
   q.Queue_disc.enqueue (mk ~flow:1 ~seq:0 ~prio:50. ());
   q.Queue_disc.enqueue (mk ~flow:2 ~seq:0 ~prio:10. ());
   q.Queue_disc.enqueue (mk ~flow:3 ~seq:0 ~prio:30. ());
-  let first = Option.get (q.Queue_disc.dequeue ()) in
+  let first = next q in
   Alcotest.(check int) "lowest prio value wins" 2 first.Packet.flow
 
 let test_pfabric_starvation_avoidance () =
@@ -138,7 +142,7 @@ let test_pfabric_starvation_avoidance () =
   q.Queue_disc.enqueue (mk ~flow:1 ~seq:5 ~prio:20. ());
   q.Queue_disc.enqueue (mk ~flow:1 ~seq:3 ~prio:22. ());
   q.Queue_disc.enqueue (mk ~flow:2 ~seq:0 ~prio:90. ());
-  let first = Option.get (q.Queue_disc.dequeue ()) in
+  let first = next q in
   Alcotest.(check int) "flow 1 chosen" 1 first.Packet.flow;
   Alcotest.(check int) "earliest segment first" 3 first.Packet.seq
 
@@ -152,7 +156,7 @@ let test_pfabric_drop_worst () =
   q.Queue_disc.enqueue (mk ~flow:4 ~seq:0 ~prio:20. ());
   Alcotest.(check int) "one drop" 1 c.Counters.dropped_pkts;
   let flows =
-    List.init 3 (fun _ -> (Option.get (q.Queue_disc.dequeue ())).Packet.flow)
+    List.init 3 (fun _ -> (next q).Packet.flow)
   in
   Alcotest.(check (list int)) "survivors by priority" [ 1; 4; 3 ] flows
 
@@ -176,7 +180,7 @@ let test_pfabric_ties_follow_buffer_order () =
     (fun flow -> q.Queue_disc.enqueue (mk ~flow ~seq:0 ~prio:5. ()))
     [ 2; 3; 4 ];
   let flows =
-    List.init 4 (fun _ -> (Option.get (q.Queue_disc.dequeue ())).Packet.flow)
+    List.init 4 (fun _ -> (next q).Packet.flow)
   in
   Alcotest.(check (list int)) "buffer order breaks ties" [ 1; 4; 3; 2 ] flows
 
@@ -195,9 +199,7 @@ let conservation_property make_queue =
           incr attempts;
           q.Queue_disc.enqueue (mk ~seq:i ~tos ~prio:(float_of_int tos) ());
           for _ = 1 to deq do
-            match q.Queue_disc.dequeue () with
-            | Some _ -> incr out
-            | None -> ()
+            if q.Queue_disc.take () != Pkt_ring.dummy then incr out
           done)
         ops;
       !attempts = !out + c.Counters.dropped_pkts + q.Queue_disc.pkts ())
@@ -220,9 +222,8 @@ let prop_prio_strict =
       let q = Prio_queue.create c ~bands:4 ~limit_pkts:10_000 ~mark_threshold:9999 in
       List.iteri (fun i tos -> q.Queue_disc.enqueue (mk ~seq:i ~tos ())) toses;
       let rec drain acc =
-        match q.Queue_disc.dequeue () with
-        | Some p -> drain (p.Packet.tos :: acc)
-        | None -> List.rev acc
+        let p = q.Queue_disc.take () in
+        if p == Pkt_ring.dummy then List.rev acc else drain (p.Packet.tos :: acc)
       in
       let order = drain [] in
       order = List.sort compare toses)
