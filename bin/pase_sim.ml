@@ -682,7 +682,10 @@ let spills_term =
       output_char oc '\n'
     in
     let sink flag attach = Option.map (fun file -> { flag; file; attach }) in
-    if series_interval <= 0. then Error "--series-interval must be positive"
+    if not (series_interval > 0. && Float.is_finite series_interval) then
+      Error
+        (Printf.sprintf "--series-interval must be positive and finite, got %g"
+           series_interval)
     else
       Ok
         (List.filter_map Fun.id

@@ -4,16 +4,13 @@ type t = {
   num_queues : int;
   arb_period : float;
   early_pruning : bool;
-  prune_top_k : int;
   delegation : bool;
   delegation_period : float;
   local_only : bool;
   use_probes : bool;
   use_ref_rate : bool;
   scheduling : scheduling;
-  rto_top : float;
   rto_low : float;
-  ctrl_proc_delay : float;
   ctrl_loss_prob : float;
   state_expiry_rounds : int;
   queue_limit_pkts : int;
@@ -24,20 +21,21 @@ let default =
     num_queues = 8;
     arb_period = 0.0003;
     early_pruning = true;
-    prune_top_k = 2;
     delegation = true;
     delegation_period = 0.0009;
     local_only = false;
     use_probes = true;
     use_ref_rate = true;
     scheduling = Srpt;
-    rto_top = 0.010;
     rto_low = 0.200;
-    ctrl_proc_delay = 0.00001;
     ctrl_loss_prob = 0.;
     state_expiry_rounds = 20;
     queue_limit_pkts = 500;
   }
+
+let prune_top_k = 2
+let rto_top = 0.010
+let ctrl_proc_delay = 0.00001
 
 let switch_survey =
   [

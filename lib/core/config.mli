@@ -12,18 +12,13 @@ type t = {
   num_queues : int;  (** priority queues in switches (default 8) *)
   arb_period : float;  (** seconds between arbitration rounds (≈ 1 RTT) *)
   early_pruning : bool;
-  prune_top_k : int;
-      (** flows outside the top [k] queues stop propagating upward (§3.1.2;
-          the paper finds k = 2 the sweet spot) *)
   delegation : bool;
   delegation_period : float;  (** virtual-link capacity rebalance interval *)
   local_only : bool;  (** arbitrate access links only (Fig 12a ablation) *)
   use_probes : bool;  (** probe-based loss recovery in low queues (§3.2) *)
   use_ref_rate : bool;  (** guided rate control; false = PASE-DCTCP (Fig 13a) *)
   scheduling : scheduling;
-  rto_top : float;  (** min RTO for top-queue flows (10 ms) *)
   rto_low : float;  (** min RTO for lower-queue flows (200 ms) *)
-  ctrl_proc_delay : float;  (** arbitrator per-message processing delay *)
   ctrl_loss_prob : float;
       (** probability that one arbitration contact's messages are lost in a
           round (failure injection; soft state + expiry keep the system
@@ -35,6 +30,18 @@ type t = {
 }
 
 val default : t
+
+(** {2 Fixed parameters} *)
+
+(** With [early_pruning], flows outside the top [k] queues stop propagating
+    upward (§3.1.2; the paper finds k = 2 the sweet spot). *)
+val prune_top_k : int
+
+(** Min RTO for top-queue flows (10 ms). *)
+val rto_top : float
+
+(** Arbitrator per-message processing delay (10 us). *)
+val ctrl_proc_delay : float
 
 (** Commodity top-of-rack switch survey (paper Table 2):
     (model, vendor, priority queues per interface, ECN support). *)

@@ -229,7 +229,7 @@ let build_contacts t ~(flow : Flow.t) =
   let path = Array.of_list (Net.route net ~flow:flow.Flow.id ~src:flow.Flow.src ~dst:flow.Flow.dst ()) in
   let n = Array.length path in
   let delay = t.topo.Topology.link_delay_s in
-  let proc = t.cfg.Config.ctrl_proc_delay in
+  let proc = Config.ctrl_proc_delay in
   let one_way = float_of_int (n - 1) *. delay in
   let lv i = t.level_of.(path.(i)) in
   let src_side = ref [] and dst_side = ref [] and src_local = ref [] and dst_local = ref [] in
@@ -361,7 +361,7 @@ let refresh t fs ~now =
   for i = 0 to Array.length fs.contacts - 1 do
     let ct = fs.contacts.(i) in
     let arbs = ct.arbs and ents = fs.ents.(i) in
-    if t.cfg.Config.early_pruning && !q_acc >= t.cfg.Config.prune_top_k then begin
+    if t.cfg.Config.early_pruning && !q_acc >= Config.prune_top_k then begin
       fs.contacted.(i) <- false;
       fs.pruned <- true;
       (* Stop holding state upstream: emulate soft-state expiry. *)

@@ -15,7 +15,8 @@
       destination latency before the source learns the result.
 
     Early pruning stops contacting higher arbitrators once a flow's queue
-    (from the previous round) falls outside the top [prune_top_k] queues.
+    (from the previous round) falls outside the top {!Config.prune_top_k}
+    queues.
     Delegation replaces Agg-Core arbitrators with per-ToR virtual links
     whose capacities are rebalanced every [delegation_period]. *)
 

@@ -22,7 +22,6 @@ let sender t = t.sender
 let queue t = t.queue
 let rref_bps t = t.rref_bps
 let probes_sent t = t.probes_sent
-let guided t = t.guided
 
 let mss_bits t =
   float_of_int (8 * (Sender_base.conf t.sender).Sender_base.mss)
@@ -89,30 +88,15 @@ let on_ack t sender ~ecn ~newly_acked =
       (Ecn_cc.try_cut t.ecn sender
          ~multiplier:(1. -. (Ecn_cc.alpha t.ecn /. 2.)))
   else if newly_acked > 0 then begin
-    if t.cfg.Config.use_ref_rate && t.guided then begin
-      if is_top t.queue then Sender_base.set_cwnd sender (rref_pkts t)
-      else if is_bottom t t.queue then Sender_base.set_cwnd sender 1.
-      else begin
-        (* DCTCP increase laws: slow start below ssthresh, then additive.
-           This is how intermediate queues stay work-conserving — when the
-           band above drains, the flow ramps into the spare capacity. *)
-        let cwnd = Sender_base.cwnd sender in
-        if cwnd < Sender_base.ssthresh sender then
-          Sender_base.set_cwnd sender (cwnd +. float_of_int newly_acked)
-        else
-          Sender_base.set_cwnd sender
-            (cwnd +. (float_of_int newly_acked /. cwnd))
-      end
-    end
-    else begin
-      (* PASE-DCTCP, or arbitration unreachable: standard DCTCP increase. *)
-      let cwnd = Sender_base.cwnd sender in
-      if cwnd < Sender_base.ssthresh sender then
-        Sender_base.set_cwnd sender (cwnd +. float_of_int newly_acked)
-      else
-        Sender_base.set_cwnd sender
-          (cwnd +. (float_of_int newly_acked /. cwnd))
-    end
+    let guided = t.cfg.Config.use_ref_rate && t.guided in
+    if guided && is_top t.queue then Sender_base.set_cwnd sender (rref_pkts t)
+    else if guided && is_bottom t t.queue then Sender_base.set_cwnd sender 1.
+    else
+      (* DCTCP increase laws. Intermediate queues stay work-conserving
+         this way: when the band above drains, the flow ramps into the
+         spare capacity. PASE-DCTCP, and flows whose arbitration is
+         unreachable, run them in every queue. *)
+      Ecn_cc.increase sender ~weight:(fun _ -> 1.) ~newly_acked
   end
 
 let demand t () =
@@ -141,7 +125,7 @@ let create net hierarchy ~flow ~cfg ~rtt ~nic_bps ?criterion_override ~on_comple
     {
       Sender_base.default_conf with
       Sender_base.init_cwnd = 1.;
-      min_rto = cfg.Config.rto_top;
+      min_rto = Config.rto_top;
       init_rtt = rtt;
       ecn_capable = true;
     }
@@ -193,7 +177,7 @@ let create net hierarchy ~flow ~cfg ~rtt ~nic_bps ?criterion_override ~on_comple
           let t = self () in
           (* Unguided flows keep the aggressive RTO: with arbitration down
              they must detect blackholed packets themselves. *)
-          if is_top t.queue || not t.guided then t.cfg.Config.rto_top
+          if is_top t.queue || not t.guided then Config.rto_top
           else t.cfg.Config.rto_low);
     }
   in

@@ -40,9 +40,3 @@ val rref_bps : t -> float
 
 (** Number of probes this host sent (for the probing ablation). *)
 val probes_sent : t -> int
-
-(** [false] while remote arbitration is unreachable (crashed arbitrators or
-    total control-message loss): the host then ignores its stale reference
-    rate and runs plain DCTCP laws with the aggressive RTO until a response
-    gets through again. *)
-val guided : t -> bool

@@ -229,13 +229,6 @@ let complete d ~flow ~now ~fct =
       in
       Hashtbl.replace d.finished flow r
 
-let discard d ~flow =
-  match d with
-  | Off -> ()
-  | On d ->
-      Hashtbl.remove d.live flow;
-      Hashtbl.remove d.finished flow
-
 let take d ~flow =
   match d with
   | Off -> None

@@ -69,9 +69,6 @@ val sync : t -> flow:int -> inflight:int -> gated:bool -> now:float -> unit
 val complete : t -> flow:int -> now:float -> fct:float -> unit
 (** Finalize the flow's record; fetch it with {!take}. *)
 
-val discard : t -> flow:int -> unit
-(** Drop all state for a cancelled flow. *)
-
 val take : t -> flow:int -> record option
 (** Remove and return the finalized record of a completed flow. *)
 

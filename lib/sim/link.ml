@@ -45,7 +45,6 @@ type t = {
   mutable up : bool;
   mutable tx_doomed : bool;  (* packet on the wire head when the link died *)
   mutable doomed_fly : int;  (* oldest in-flight packets to blackhole *)
-  mutable blackholed : int;
   mutable bytes_txed : int;
   dummy : Packet.t;  (* [txing] when idle, so it retains nothing *)
   mutable txing : Packet.t;  (* the packet being serialized; dummy if none *)
@@ -58,7 +57,6 @@ type t = {
 }
 
 let blackhole t pkt =
-  t.blackholed <- t.blackholed + 1;
   t.counters.blackholed_pkts <- t.counters.blackholed_pkts + 1;
   if Trace.on t.trace then begin
     let l = t.qdisc.Queue_disc.loc in
@@ -122,7 +120,6 @@ let create engine ~qdisc ~rate_bps ~delay_s ?(counters = Counters.create ())
       up = true;
       tx_doomed = false;
       doomed_fly = 0;
-      blackholed = 0;
       bytes_txed = 0;
       dummy;
       txing = dummy;
@@ -233,16 +230,11 @@ let set_fluid_bps t bps =
     t.qdisc.Queue_disc.set_cap_frac ((t.rate_bps -. t.fluid_bps) /. t.rate_bps)
   end
 
-let fluid_bps t = t.fluid_bps
-
 (* Standing-queue latency from the fluid tier: DCTCP-family fluid flows hold
    roughly the marking threshold of backlog at their bottleneck, which
    packet-tier traffic waits behind in the full engine. Negative values
    clamp to zero; shrinkage is safe (arrival clamping above). *)
 let set_standing_s t s = t.standing_s <- Float.max 0. s
-let standing_s t = t.standing_s
 let qdisc t = t.qdisc
 let bytes_txed t = t.bytes_txed
-let busy t = t.busy
 let is_up t = t.up
-let blackholed t = t.blackholed

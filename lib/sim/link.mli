@@ -31,8 +31,6 @@ val qdisc : t -> Queue_disc.t
     fluid tier. *)
 val set_fluid_bps : t -> float -> unit
 
-val fluid_bps : t -> float
-
 (** [set_standing_s t s] adds [s] seconds of one-way latency modelling the
     standing queue that fluid flows bottlenecked on this link maintain
     (DCTCP-family congestion control holds roughly the marking threshold of
@@ -42,12 +40,8 @@ val fluid_bps : t -> float
     clamp to zero; 0 outside hybrid runs (bit-identical packet path). *)
 val set_standing_s : t -> float -> unit
 
-val standing_s : t -> float
-
 (** Total bytes fully transmitted so far (utilization accounting). *)
 val bytes_txed : t -> int
-
-val busy : t -> bool
 
 (** [set_up t up] changes the administrative state. Taking the link down
     blackholes the packet being serialized and every in-flight packet
@@ -56,6 +50,3 @@ val busy : t -> bool
 val set_up : t -> bool -> unit
 
 val is_up : t -> bool
-
-(** Packets blackholed on this link so far. *)
-val blackholed : t -> int

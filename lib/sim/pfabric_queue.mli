@@ -15,14 +15,9 @@
     The buffer is tiny in pFabric (≈ 2 × BDP), so linear scans are exact and
     cheap. *)
 
-val create : Counters.t -> limit_pkts:int -> Queue_disc.t
-
-(** Telemetry tiers quantizing the continuous [prio] (remaining flow size in
-    segments) for the discipline's [bands] report: tier
-    [min (tiers-1) (floor (log2 (1 + prio)))], so tier 0 is the last
-    in-flight segment and tier [tiers-1] holds flows with >= 127 segments
+(** The discipline's [bands] report counts packets and bytes in eight
+    telemetry tiers of the continuous [prio] (remaining flow size in
+    segments): tier [min 7 (floor (log2 (1 + prio)))], so tier 0 is the
+    last in-flight segment and tier 7 holds flows with >= 127 segments
     remaining. *)
-
-val tiers : int
-
-val tier_of : float -> int
+val create : Counters.t -> limit_pkts:int -> Queue_disc.t

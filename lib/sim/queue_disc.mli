@@ -55,9 +55,6 @@ val count_dequeue : Trace.loc -> Counters.t -> qpkts:int -> Packet.t -> unit
 (** [count_mark loc c ~qpkts pkt] CE-marks [pkt], counts it, and traces it. *)
 val count_mark : Trace.loc -> Counters.t -> qpkts:int -> Packet.t -> unit
 
-(** Shared empty [bands] value for unbanded disciplines. *)
-val no_bands : unit -> (int * int) array
-
 (** [dequeue_of take] is the [dequeue] field of a discipline whose [take]
     is [take]. *)
 val dequeue_of : (unit -> Packet.t) -> unit -> Packet.t option

@@ -131,6 +131,8 @@ let kind_of : event -> Kind.t = function
   | Link_state _ -> Kind.Link_state
   | Blackhole _ -> Kind.Blackhole
 
+(* Flow id the event concerns, or [-1] for flowless events ([Arb],
+   [Delegate], [Link_state]). *)
 let flow_of = function
   | Enqueue { pkt; _ }
   | Dequeue { pkt; _ }

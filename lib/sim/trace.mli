@@ -86,12 +86,6 @@ type event =
 
 val kind_of : event -> Kind.t
 
-val flow_of : event -> int
-(** Flow id the event concerns, or [-1] for flowless events ([Arb],
-    [Delegate], [Link_state]). Flowless events never pass a flow filter. *)
-
-val link_of : event -> (int * int) option
-
 val to_json : time:float -> event -> string
 (** One JSON object (no trailing newline): [{"t":<float>,"kind":"<name>",...}].
     Floats are printed with [%.17g]; nan/inf become [null]. *)
@@ -139,11 +133,11 @@ val create :
   sink list -> t
 (** [create sinks] is a bus delivering to [sinks], in order; it is on iff
     [sinks] is non-empty. Filters intersect across keys: [kinds] passes only
-    those kinds, [flows] only events whose {!flow_of} is listed (flowless
-    events excluded), [links] only events whose {!link_of} is listed
-    (linkless events excluded). An omitted or empty filter passes all.
-    Events are stamped 0 until {!with_clock} gives the bus a run's clock,
-    as {!Runner.run} does with its engine's. *)
+    those kinds, [flows] only events about a listed flow (flowless events
+    such as [Arb], [Delegate] and [Link_state] excluded), [links] only
+    events on a listed link (linkless events excluded). An omitted or
+    empty filter passes all. Events are stamped 0 until {!with_clock}
+    gives the bus a run's clock, as {!Runner.run} does with its engine's. *)
 
 val with_clock : t -> (unit -> float) -> t
 (** The same bus — sinks, filters and emitted count shared — stamping

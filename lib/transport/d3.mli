@@ -5,7 +5,10 @@
     finishes its flow exactly at its deadline ([remaining / time-left]);
     routers grant requests greedily in {e arrival order} (FCFS) and split
     the leftover capacity equally among all flows as fair share. Flows
-    without deadlines request nothing and live off the fair share.
+    without deadlines request nothing and live off the fair share. This
+    module holds only that policy; the sender is the {!Explicit_rate} host
+    PDQ shares, run with {!policy}, and applies each grant one one-way
+    delay later.
 
     The FCFS grant order is D3's published behaviour and its known weakness
     (priority inversion: an early-arriving far-deadline flow can starve a
@@ -13,7 +16,8 @@
     are evaluated against exactly that behaviour. *)
 
 module Router : sig
-  type t
+  type entry
+  type t = entry Explicit_rate.Table.t
 
   val create : capacity_bps:float -> t
 
@@ -34,18 +38,7 @@ module Router : sig
   val allocation : t -> flow:int -> float
 end
 
-type host
-
-val create :
-  Net.t ->
-  flow:Flow.t ->
-  routers:Router.t list ->
-  rtt:float ->
-  ?conf:Sender_base.conf ->
-  on_complete:(Sender_base.t -> fct:float -> unit) ->
-  unit ->
-  host
-
-val start : host -> unit
-val sender : host -> Sender_base.t
-val conf : ?init_rtt:float -> unit -> Sender_base.conf
+(** D3's host policy: each refresh requests the rate that finishes the
+    flow at its deadline ([remaining / time-left], capped at the line rate;
+    0 without a deadline) from every router on the path. *)
+val policy : Router.entry Explicit_rate.policy

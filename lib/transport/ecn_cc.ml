@@ -44,19 +44,20 @@ let try_cut st t ~multiplier =
   end
   else false
 
+let[@inline] increase t ~weight ~newly_acked =
+  let cwnd = Sender_base.cwnd t in
+  if cwnd < Sender_base.ssthresh t then
+    (* Slow start: one segment per newly acked segment. *)
+    Sender_base.set_cwnd t (cwnd +. float_of_int newly_acked)
+  else
+    Sender_base.set_cwnd t
+      (cwnd +. (weight t *. float_of_int newly_acked /. cwnd))
+
 let hooks st ~increase_weight ~cut_multiplier =
   let on_ack t ~ecn ~newly_acked =
     observe st t ~ecn ~weight:newly_acked;
     if ecn then ignore (try_cut st t ~multiplier:(cut_multiplier st t))
-    else if newly_acked > 0 then begin
-      let cwnd = Sender_base.cwnd t in
-      if cwnd < Sender_base.ssthresh t then
-        (* Slow start: one segment per newly acked segment. *)
-        Sender_base.set_cwnd t (cwnd +. float_of_int newly_acked)
-      else
-        Sender_base.set_cwnd t
-          (cwnd +. (increase_weight t *. float_of_int newly_acked /. cwnd))
-    end
+    else if newly_acked > 0 then increase t ~weight:increase_weight ~newly_acked
   in
   let on_fast_retransmit t =
     Sender_base.set_ssthresh t (Sender_base.cwnd t /. 2.);

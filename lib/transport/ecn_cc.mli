@@ -25,15 +25,19 @@ val hooks :
   cut_multiplier:(state -> Sender_base.t -> float) ->
   Sender_base.hooks
 
-(** EWMA gain [g] used for alpha (DCTCP recommends 1/16). *)
-val gain : float
-
 (** {2 Primitives for protocols with bespoke window laws (e.g. PASE)} *)
 
 (** [observe state t ~ecn ~weight] does the per-ack alpha bookkeeping only:
     counts (marked) acks and folds the fraction into alpha once per window
     of data. *)
 val observe : state -> Sender_base.t -> ecn:bool -> weight:int -> unit
+
+(** [increase t ~weight ~newly_acked] is the DCTCP window increase: slow
+    start below ssthresh (one segment per newly acked segment), then
+    [weight t * newly_acked / cwnd] segments per ack. [weight] is read only
+    in congestion avoidance. *)
+val increase :
+  Sender_base.t -> weight:(Sender_base.t -> float) -> newly_acked:int -> unit
 
 (** [try_cut state t ~multiplier] applies [cwnd <- cwnd * multiplier] if no
     cut has happened in the current window of data yet. Returns whether the

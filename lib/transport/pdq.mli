@@ -4,16 +4,19 @@
     Every directed link has an {!Arbiter} that keeps per-flow state (sorted
     by the scheduling criterion — remaining size, or deadline when present)
     and allocates the link capacity to the most critical flows; the rest are
-    paused (rate 0). Senders refresh their state at every RTT and apply the
-    allocated rate one RTT later, which reproduces PDQ's flow-switching
-    overhead (≈1–2 RTT per preemption, §2.1 of the paper).
+    paused (rate 0). This module holds only that policy; the sender is the
+    {!Explicit_rate} host D3 shares, run with {!policy}. It refreshes its
+    state at every RTT and applies the path's grant one one-way delay
+    later, plus a full RTT when it unpauses, which reproduces PDQ's
+    flow-switching overhead (≈1–2 RTT per preemption, §2.1 of the paper).
 
     Early Start is modelled: a flow expected to drain within [es_rtts] RTTs
     does not count against the capacity offered to the next flow in line,
     letting the successor begin before the current flow fully finishes. *)
 
 module Arbiter : sig
-  type t
+  type entry
+  type t = entry Explicit_rate.Table.t
 
   val create : capacity_bps:float -> t
 
@@ -41,23 +44,7 @@ end
 (** RTTs of lookahead for Early Start. *)
 val es_rtts : float
 
-type host
-
-(** [create net ~flow ~arbiters ~rtt ...] — [arbiters] are the arbiters of
-    every link on the flow's forward path; [rtt] is the base RTT used for
-    the update period and rate-application delay. Control-plane messages
-    are counted in the net's {!Counters.t} ([ctrl_msgs]). *)
-val create :
-  Net.t ->
-  flow:Flow.t ->
-  arbiters:Arbiter.t list ->
-  rtt:float ->
-  ?conf:Sender_base.conf ->
-  on_complete:(Sender_base.t -> fct:float -> unit) ->
-  unit ->
-  host
-
-val start : host -> unit
-val sender : host -> Sender_base.t
-
-val conf : ?init_rtt:float -> unit -> Sender_base.conf
+(** PDQ's host policy: each refresh carries the flow's remaining size,
+    deadline and suppressed demand to every arbiter on the path, and a
+    paused flow's first nonzero grant takes an extra RTT. *)
+val policy : Arbiter.entry Explicit_rate.policy

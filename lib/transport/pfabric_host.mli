@@ -3,10 +3,8 @@
     Flows start at a fixed window of one BDP, stamp every packet with the
     flow's remaining size as its in-network priority, and rely on
     {!Pfabric_queue} for scheduling and dropping. Loss recovery uses a small
-    RTO; after [probe_after] consecutive timeouts the flow enters probe mode
+    RTO; after five consecutive timeouts the flow enters probe mode
     (window 1) until an ack gets through. *)
-
-val probe_after : int
 
 (** Table 3: init cwnd 38 segments (= BDP), min RTO 1 ms. *)
 val conf : ?init_rtt:float -> ?init_cwnd:float -> ?min_rto:float -> unit -> Sender_base.conf

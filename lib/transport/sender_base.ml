@@ -311,12 +311,6 @@ let complete t =
     t.on_complete t ~fct
   end
 
-let cancel t =
-  t.completed <- true;
-  cancel_timer t;
-  if Delay.on t.delay then Delay.discard t.delay ~flow:t.flow.Flow.id;
-  Net.unregister_flow t.net ~host:t.flow.Flow.src ~flow:t.flow.Flow.id
-
 let update_rtt t sample =
   if t.cc.srtt <= 0. then begin
     t.cc.srtt <- sample;

@@ -57,9 +57,6 @@ val start : t -> unit
 (** Kick the send loop (call after changing cwnd, gates, or pacing rate). *)
 val try_send : t -> unit
 
-(** Abort the flow: cancel timers and unregister handlers. *)
-val cancel : t -> unit
-
 (** Send a header-only probe for the first unacked segment (stamped via
     [hooks.stamp]). At most one probe is outstanding at a time. *)
 val send_probe : t -> unit

@@ -25,14 +25,6 @@ let constant v =
     points = [];
   }
 
-let exponential ~mean =
-  {
-    sample = (fun rng -> Rng.exponential rng ~mean);
-    mean;
-    name = Printf.sprintf "Exp(%g)" mean;
-    icdf = None;
-    points = [];
-  }
 
 let choice xs =
   match xs with

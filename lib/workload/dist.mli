@@ -19,7 +19,6 @@ type t = {
 val uniform : float -> float -> t
 
 val constant : float -> t
-val exponential : mean:float -> t
 
 (** Uniform over an explicit choice list (equal weights). *)
 val choice : float list -> t

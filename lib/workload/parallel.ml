@@ -43,15 +43,14 @@ let config_key (c : Config.t) =
     [
       Printf.sprintf "queues=%d" c.Config.num_queues;
       Printf.sprintf "arb=%s" (fl c.Config.arb_period);
-      Printf.sprintf "prune=%b/%d" c.Config.early_pruning c.Config.prune_top_k;
+      Printf.sprintf "prune=%b" c.Config.early_pruning;
       Printf.sprintf "deleg=%b/%s" c.Config.delegation
         (fl c.Config.delegation_period);
       Printf.sprintf "local=%b" c.Config.local_only;
       Printf.sprintf "probes=%b" c.Config.use_probes;
       Printf.sprintf "ref=%b" c.Config.use_ref_rate;
       Printf.sprintf "sched=%s" (scheduling_key c.Config.scheduling);
-      Printf.sprintf "rto=%s/%s" (fl c.Config.rto_top) (fl c.Config.rto_low);
-      Printf.sprintf "proc=%s" (fl c.Config.ctrl_proc_delay);
+      Printf.sprintf "rto-low=%s" (fl c.Config.rto_low);
       Printf.sprintf "ctrl-loss=%s" (fl c.Config.ctrl_loss_prob);
       Printf.sprintf "expiry=%d" c.Config.state_expiry_rounds;
       Printf.sprintf "qlim=%d" c.Config.queue_limit_pkts;

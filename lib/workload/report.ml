@@ -192,12 +192,20 @@ let of_files ~result ?attrib ?series ?vs ?top () =
   let load arg parse path =
     try parse path with Sys_error e -> failwith (Printf.sprintf "--%s: %s" arg e)
   in
-  build
-    ~run:(load "result" parse_file result)
-    ?attrib_lines:(Option.map (load "attrib" parse_lines) attrib)
-    ?series_lines:(Option.map (load "series" parse_lines) series)
-    ?vs:(Option.map (load "vs" parse_file) vs)
-    ?top ()
+  let run = load "result" parse_file result in
+  let attrib_lines = Option.map (load "attrib" parse_lines) attrib in
+  let series_lines = Option.map (load "series" parse_lines) series in
+  let vs_run = Option.map (load "vs" parse_file) vs in
+  (* A result is an object carrying the codec version; anything else
+     ([{}], [[]], another tool's JSON) would render as rows of [?]. *)
+  let check arg path j =
+    if Json.float_member "version" j = None then
+      failwith
+        (Printf.sprintf "--%s: %s: not a result: no \"version\" field" arg path)
+  in
+  check "result" result run;
+  (match (vs, vs_run) with Some path, Some j -> check "vs" path j | _ -> ());
+  build ~run ?attrib_lines ?series_lines ?vs:vs_run ?top ()
 
 (* ---- rendering helpers -------------------------------------------------- *)
 

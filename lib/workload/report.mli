@@ -29,8 +29,11 @@ val of_files :
   t
 (** Like {!build} but reading files: [result]/[vs] are result JSON files,
     [attrib]/[series] are JSONL spills. Raises [Failure] with the offending
-    path on unreadable or unparsable input; an unreadable file's message
-    also names its argument as the CLI flag ([--result], [--attrib], ...). *)
+    path on unreadable or unparsable input, or on a [result]/[vs] that is
+    not an object with a ["version"] field; an unreadable file's message
+    and a missing version's also name the argument as the CLI flag
+    ([--result], [--attrib], ...). Every file is read before any is
+    checked for a version. *)
 
 val to_json : t -> string
 (** Single deterministic JSON object:

@@ -140,9 +140,9 @@ let no_control =
 (* Per-link control agents (PDQ arbiters, D3 routers), created on first use
    along a flow's route and keyed by directed link. A crashed switch loses
    the agents of its outgoing links; a down link loses both directions'.
-   Returns the control hooks and a sender starter that hands [start] the
-   agents on the flow's path. *)
-let link_agents net ~create ~clear start =
+   Returns the control hooks and a sender starter that runs [policy]'s host
+   against the agents on the flow's path. *)
+let link_agents net policy =
   let agents = Hashtbl.create 32 in
   let agent a b =
     match Hashtbl.find_opt agents (a, b) with
@@ -151,7 +151,7 @@ let link_agents net ~create ~clear start =
         let link =
           match Net.link_from net a b with Some l -> l | None -> assert false
         in
-        let x = create ~capacity_bps:(Link.rate_bps link) in
+        let x = Explicit_rate.Table.create ~capacity_bps:(Link.rate_bps link) in
         Hashtbl.replace agents (a, b) x;
         x
   in
@@ -159,6 +159,7 @@ let link_agents net ~create ~clear start =
     | a :: (b :: _ as rest) -> along (agent a b :: acc) rest
     | _ -> List.rev acc
   in
+  let clear = Explicit_rate.Table.clear in
   let clear_link key = Option.iter clear (Hashtbl.find_opt agents key) in
   ( {
       no_control with
@@ -175,7 +176,8 @@ let link_agents net ~create ~clear start =
         Net.route net ~flow:flow.Flow.id ~src:spec.Scenario.src
           ~dst:spec.Scenario.dst ()
       in
-      start ~flow (along [] route) ~init_rtt ~on_complete )
+      Explicit_rate.start policy net ~flow ~agents:(along [] route)
+        ~rtt:init_rtt ~on_complete )
 
 let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
     ?(attrib = false) ?on_attrib ?series ?hybrid ?(trace = Trace.off) protocol
@@ -287,22 +289,12 @@ let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
               (Pfabric_host.create net ~flow
                  ~conf:(Pfabric_host.conf ~init_rtt ~init_cwnd:38. ())
                  ~on_complete ()) )
-    | Pdq ->
+    | Pdq | D3 ->
         let control, start =
-          link_agents net ~create:Pdq.Arbiter.create ~clear:Pdq.Arbiter.clear
-            (fun ~flow arbiters ~init_rtt ~on_complete ->
-              Pdq.start
-                (Pdq.create net ~flow ~arbiters ~rtt:init_rtt
-                   ~conf:(Pdq.conf ~init_rtt ()) ~on_complete ()))
-        in
-        (None, control, start)
-    | D3 ->
-        let control, start =
-          link_agents net ~create:D3.Router.create ~clear:D3.Router.clear
-            (fun ~flow routers ~init_rtt ~on_complete ->
-              D3.start
-                (D3.create net ~flow ~routers ~rtt:init_rtt
-                   ~conf:(D3.conf ~init_rtt ()) ~on_complete ()))
+          match protocol with
+          | Pdq -> link_agents net Pdq.policy
+          | D3 | Dctcp | D2tcp | L2dct | Pfabric | Pase _ ->
+              link_agents net D3.policy
         in
         (None, control, start)
     | Pase cfg ->

@@ -268,9 +268,71 @@ let prop_pfabric_matches_oracle =
       while dequeue o do () done;
       observed a = observed o)
 
+(* ---- whole runs, pinned ------------------------------------------------- *)
+
+(* The perfbench digests reach PDQ and D3 only through the incast sweep.
+   These pin the JSON of whole runs: [deadline] takes the D3 request and
+   PDQ EDF paths, and CI's fault schedule on [left-right] clears the
+   per-link agents on a switch crash and on link downs. GC deltas depend
+   on process history and are zeroed. *)
+let ci_faults =
+  match
+    Fault.parse
+      "flap:a=agg0,b=core0,at=0.004,down=0.002,up=0.004,count=3;\
+       crash:node=tor0,at=0.005,restart=0.012;ctrl:at=0,until=0.05,p=0.3"
+  with
+  | Ok evs -> evs
+  | Error e -> failwith e
+
+let pinned_run protocol scenario digest () =
+  let r = Runner.run protocol (scenario ()) in
+  let json =
+    Result_codec.to_json
+      {
+        r with
+        Runner.gc_minor_words = 0.;
+        gc_promoted_words = 0.;
+        gc_major_collections = 0;
+      }
+  in
+  Alcotest.(check string) "result JSON digest" digest
+    (Digest.to_hex (Digest.string json))
+
+let deadline () =
+  Scenario.deadline_intra_rack ~num_flows:200 ~seed:1 ~load:0.6 ()
+
+let faulted_left_right () =
+  Scenario.with_faults
+    (Scenario.left_right ~num_flows:150 ~seed:1 ~load:0.6 ())
+    ci_faults
+
+let pinned =
+  [
+    ( "pdq deadline run pinned",
+      Runner.Pdq,
+      deadline,
+      "9cebd4e04b3b1019afedd1a6be218e99" );
+    ( "d3 deadline run pinned",
+      Runner.D3,
+      deadline,
+      "764c27f63606697f2c398f25217d7655" );
+    ( "pdq faulted left-right pinned",
+      Runner.Pdq,
+      faulted_left_right,
+      "be01e10940335b0c414eaa1ba7639e88" );
+    ( "d3 faulted left-right pinned",
+      Runner.D3,
+      faulted_left_right,
+      "47a827058a29e1f80c248e1d61853262" );
+  ]
+
 let suite =
   [
     Qseed.to_alcotest prop_d3_router_matches_oracle;
     Qseed.to_alcotest prop_pdq_arbiter_matches_oracle;
     Qseed.to_alcotest prop_pfabric_matches_oracle;
   ]
+  @ List.map
+      (fun (name, protocol, scenario, digest) ->
+        Alcotest.test_case name `Quick (pinned_run protocol scenario digest))
+      pinned

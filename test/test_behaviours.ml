@@ -88,13 +88,10 @@ let test_pdq_release_timing () =
   let flow = Flow.make ~id:1 ~src:h.(0) ~dst:h.(1) ~size_pkts:20 ~start_time:0. () in
   let recv = Receiver.create net ~flow () in
   let done_at = ref nan in
-  Pdq.start
-    (Pdq.create net ~flow ~arbiters:[ arb ] ~rtt
-       ~conf:(Pdq.conf ~init_rtt:rtt ())
-       ~on_complete:(fun _ ~fct ->
-         Receiver.stop recv;
-         done_at := fct)
-       ());
+  Explicit_rate.start Pdq.policy net ~flow ~agents:[ arb ] ~rtt
+    ~on_complete:(fun _ ~fct ->
+      Receiver.stop recv;
+      done_at := fct);
   Engine.run ~until:0.05 e;
   Alcotest.(check bool) "flow completed" true (not (Float.is_nan !done_at));
   Alcotest.(check int) "arbiter state released after termination" 0

@@ -104,9 +104,8 @@ let rig_with_arbiters () =
           Receiver.stop recv;
           result := Some fct
         in
-        Pdq.start
-          (Pdq.create net ~flow ~arbiters:(arbiters_for src dst) ~rtt
-             ~conf:(Pdq.conf ~init_rtt:rtt ()) ~on_complete ()));
+        Explicit_rate.start Pdq.policy net ~flow ~agents:(arbiters_for src dst)
+          ~rtt ~on_complete);
     result
   in
   (e, topo, launch)
